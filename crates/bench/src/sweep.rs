@@ -120,37 +120,35 @@ pub fn run_sweep(
 
     let empty_stats =
         || vec![vec![(SummaryStats::new(), SummaryStats::new()); algos.len()]; points];
-    let mut per_worker: Vec<Option<WorkerStats>> = (0..workers).map(|_| None).collect();
-    let (done_tx, done_rx) = crossbeam_channel::unbounded::<(usize, WorkerStats)>();
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let done_tx = done_tx.clone();
-            let cells = &cells;
-            scope.spawn(move || {
-                let _span = dbcast_obs::span!("bench.sweep.worker");
-                let mut acc = empty_stats();
-                // Static round-robin share: cells w, w+workers, ...
-                for i in (w..cells.len()).step_by(workers) {
-                    let (point, seed) = cells[i];
-                    let cell = run_cell(config, axis, algos, point, seed);
-                    for (a, &(waiting, cost)) in cell.iter().enumerate() {
-                        acc[point][a].0.record(waiting);
-                        acc[point][a].1.record(cost);
+    let per_worker: Vec<WorkerStats> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let cells = &cells;
+                scope.spawn(move || {
+                    let _span = dbcast_obs::span!("bench.sweep.worker");
+                    let mut acc = empty_stats();
+                    // Static round-robin share: cells w, w+workers, ...
+                    for i in (w..cells.len()).step_by(workers) {
+                        let (point, seed) = cells[i];
+                        let cell = run_cell(config, axis, algos, point, seed);
+                        for (a, &(waiting, cost)) in cell.iter().enumerate() {
+                            acc[point][a].0.record(waiting);
+                            acc[point][a].1.record(cost);
+                        }
                     }
-                }
-                done_tx.send((w, acc)).expect("collector alive");
-            });
-        }
-        drop(done_tx);
-        while let Ok((w, acc)) = done_rx.recv() {
-            per_worker[w] = Some(acc);
-        }
+                    acc
+                })
+            })
+            .collect();
+        // Joined in worker order, so the merge below is deterministic.
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
 
-    // Merge worker partials in worker order — deterministic.
     let mut merged = empty_stats();
-    for acc in per_worker.into_iter().map(|a| a.expect("every worker reported")) {
+    for acc in per_worker {
         for (p, row) in acc.into_iter().enumerate() {
             for (a, (waiting, cost)) in row.into_iter().enumerate() {
                 merged[p][a].0.merge(&waiting);

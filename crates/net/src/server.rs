@@ -78,8 +78,10 @@ impl NetMetrics {
 
 /// Bounded MPSC byte-blob queue with close semantics.
 ///
-/// Hand-rolled because the vendored crossbeam shim only offers an
-/// unbounded channel, and the slow-client policy needs a hard bound.
+/// Hand-rolled because the slow-client policy needs a hard bound, an
+/// observable depth (the `queue_peak` signal) and an explicit `close`;
+/// `std::sync::mpsc::sync_channel` offers the bound but neither of the
+/// other two.
 #[derive(Debug)]
 struct BoundedQueue {
     state: Mutex<QueueState>,

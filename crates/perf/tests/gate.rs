@@ -3,8 +3,8 @@
 //! injected slowdown must make the gate fail.
 
 use dbcast_perf::{
-    compare, run_suite, standard_suite, Benchmark, CountingAllocator, RunOptions,
-    Tolerances,
+    compare, run_suite, standard_suite, BenchReport, Benchmark, CountingAllocator,
+    RunOptions, Tolerances,
 };
 
 #[global_allocator]
@@ -89,7 +89,13 @@ fn standard_suite_measures_every_benchmark() {
     let mut suite = standard_suite();
     let report =
         run_suite(&mut suite, &RunOptions { iterations: 1, warmup: 0, profile: true });
-    assert_eq!(report.benchmarks.len(), 14);
+    // The suite must measure exactly what the committed baseline gates,
+    // so adding a benchmark without re-recording the baseline fails here.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
+    let baseline = BenchReport::load(std::path::Path::new(path)).expect("baseline loads");
+    let names =
+        |r: &BenchReport| r.benchmarks.iter().map(|b| b.name.clone()).collect::<Vec<_>>();
+    assert_eq!(names(&report), names(&baseline));
     for rec in &report.benchmarks {
         assert!(rec.median_ns > 0.0, "{} measured zero time", rec.name);
         assert!(rec.allocs_available);

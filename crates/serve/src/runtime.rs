@@ -25,8 +25,8 @@
 //!
 //! Re-allocation runs either inline ([`WorkerMode::Deterministic`], the
 //! seed-replayable mode the tests pin) or on a background worker thread
-//! over `crossbeam-channel` ([`WorkerMode::Threaded`], the production
-//! mode — the serving loop never blocks on DRP-CDS).
+//! over `std::sync::mpsc` channels ([`WorkerMode::Threaded`], the
+//! production mode — the serving loop never blocks on DRP-CDS).
 
 use std::fmt;
 use std::sync::Arc;
@@ -612,8 +612,8 @@ impl ServeRuntime {
         let worker = match self.config.worker {
             WorkerMode::Deterministic => None,
             WorkerMode::Threaded => {
-                let (job_tx, job_rx) = crossbeam_channel::unbounded::<RepairJob>();
-                let (res_tx, res_rx) = crossbeam_channel::unbounded::<RepairResult>();
+                let (job_tx, job_rx) = std::sync::mpsc::channel::<RepairJob>();
+                let (res_tx, res_rx) = std::sync::mpsc::channel::<RepairResult>();
                 let mode = self.config.repair;
                 let channels = self.config.channels;
                 let handle = std::thread::spawn(move || {

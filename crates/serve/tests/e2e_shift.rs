@@ -28,7 +28,7 @@ fn scenario(
     (pre, post, trace)
 }
 
-fn config() -> ServeConfig {
+fn config(worker: WorkerMode) -> ServeConfig {
     ServeConfig {
         channels: CHANNELS,
         bandwidth: 10.0,
@@ -39,10 +39,12 @@ fn config() -> ServeConfig {
         },
         detector: DriftDetector { threshold: 0.25, min_observations: 200 },
         repair: RepairMode::Full,
-        worker: WorkerMode::Deterministic,
+        worker,
         max_ticks: None,
         slo: None,
-        pace_ms: 0,
+        // Threaded: pace each tick so the loop cannot outrun the worker
+        // thread and finish the trace before a repair lands.
+        pace_ms: if worker == WorkerMode::Threaded { 5 } else { 0 },
         inject_panic_at_tick: None,
         audit: Default::default(),
         inject_slow_channel: None,
@@ -52,8 +54,15 @@ fn config() -> ServeConfig {
 
 #[test]
 fn detects_the_shift_swaps_at_a_boundary_and_converges_to_the_oracle() {
+    for worker in [WorkerMode::Deterministic, WorkerMode::Threaded] {
+        check_acceptance(worker);
+    }
+}
+
+fn check_acceptance(worker: WorkerMode) {
     let (pre, post, trace) = scenario();
-    let runtime = ServeRuntime::new(&pre, config()).unwrap();
+    let runtime = ServeRuntime::new(&pre, config(worker)).unwrap();
+    // `run` returning at all shows the threaded worker was joined.
     let report = runtime.run(&trace).unwrap();
 
     // Every request was admitted and accounted; nothing fell through a
@@ -65,8 +74,8 @@ fn detects_the_shift_swaps_at_a_boundary_and_converges_to_the_oracle() {
 
     // The shift was detected and at least one hot swap happened, at a
     // tick (= cycle) boundary strictly inside the run.
-    assert!(report.drift_events >= 1, "no drift detected: {report:?}");
-    assert!(report.swaps >= 1, "no swap performed: {report:?}");
+    assert!(report.drift_events >= 1, "{worker:?}: no drift detected: {report:?}");
+    assert!(report.swaps >= 1, "{worker:?}: no swap performed: {report:?}");
     assert_eq!(report.generations.len() as u64, report.swaps + 1);
     for g in &report.generations[1..] {
         assert!(g.installed_tick >= 1);
@@ -74,7 +83,13 @@ fn detects_the_shift_swaps_at_a_boundary_and_converges_to_the_oracle() {
         let latency = g.swap_latency.expect("swapped generations record latency");
         assert!(latency > 0.0, "swap must land at a later boundary than its dispatch");
         assert!(g.repair.is_some());
-        assert!(g.drift_at_dispatch.unwrap() > config().detector.threshold);
+        assert!(g.drift_at_dispatch.unwrap() > config(worker).detector.threshold);
+    }
+    // Which tick the threaded result lands on depends on thread
+    // scheduling, so the converged program is pinned for the
+    // seed-replayable mode only.
+    if worker == WorkerMode::Threaded {
+        return;
     }
 
     // Convergence: evaluate the assignment the runtime is serving at
@@ -112,7 +127,7 @@ fn detects_the_shift_swaps_at_a_boundary_and_converges_to_the_oracle() {
 fn the_acceptance_run_is_seed_replayable() {
     let (pre, _, trace) = scenario();
     let mut reports = (0..2).map(|_| {
-        let runtime = ServeRuntime::new(&pre, config()).unwrap();
+        let runtime = ServeRuntime::new(&pre, config(WorkerMode::Deterministic)).unwrap();
         let mut report = runtime.run(&trace).unwrap();
         // Wall-clock repair timing is the one legitimately
         // nondeterministic field.
@@ -130,7 +145,7 @@ fn the_acceptance_run_is_seed_replayable() {
 #[test]
 fn budgeted_repair_also_closes_most_of_the_gap() {
     let (pre, post, trace) = scenario();
-    let mut cfg = config();
+    let mut cfg = config(WorkerMode::Deterministic);
     cfg.repair = RepairMode::Budgeted { budget: 64 };
     let runtime = ServeRuntime::new(&pre, cfg).unwrap();
     let report = runtime.run(&trace).unwrap();
