@@ -1,7 +1,8 @@
-//! The `/exemplars` wire format: a schema-versioned JSON document
-//! rendered by a self-contained writer and re-parsed by a strict
-//! validator — the same posture `/metrics` (OpenMetrics parser) and
-//! `/series` (scope validator) take, so a malformed export fails in
+//! The `/exemplars` wire format: a schema-versioned JSON document whose
+//! types derive the serde shim's `Serialize`/`Deserialize` with
+//! `deny_unknown_fields` (the pattern `/fleet` uses), re-parsed by a
+//! strict validator — the same posture `/metrics` (OpenMetrics parser)
+//! and `/series` (scope validator) take, so a malformed export fails in
 //! `dbcast flight check-exemplars` rather than in an operator's
 //! console.
 //!
@@ -20,13 +21,15 @@
 //!                    "seeded", "tail", "straddled" }, … ] }
 //! ```
 //!
-//! The validator is the schema's executable definition: it checks the
-//! version, record ordering, flag consistency, and — the audit layer's
-//! core contract — that every record's wait decomposition
-//! `predicted + residual + straddle_penalty` sums back to the observed
-//! wait within 1e-9.
+//! Missing, mistyped and unknown keys fail deserialization. On top,
+//! the validator checks the version, record ordering, flag
+//! consistency, and — the audit layer's core contract — that every
+//! record's wait decomposition `predicted + residual + straddle_penalty`
+//! sums back to the observed wait within 1e-9.
 
 use std::fmt;
+
+use serde::{Deserialize, Serialize};
 
 use crate::residual::{ChannelResidual, GenerationResiduals};
 use crate::ring::{TraceRecord, FLAG_SEEDED, FLAG_STRADDLED, FLAG_TAIL};
@@ -62,293 +65,203 @@ impl fmt::Display for AuditJsonError {
 
 impl std::error::Error for AuditJsonError {}
 
-fn json_f64(v: f64) -> String {
-    // The tracer never admits non-finite values, so this is belt and
-    // braces for a hand-built document.
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
+/// The schema-v1 document: an [`AuditSnapshot`] with the live
+/// generation's residual table flattened into the top level.
+#[derive(Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+struct ExemplarsDoc {
+    schema: u64,
+    capacity: usize,
+    recorded: u64,
+    sampled: u64,
+    tail: u64,
+    straddled: u64,
+    generation: u64,
+    residuals: Vec<ChannelResidual>,
+    history: Vec<GenerationResiduals>,
+    records: Vec<RecordRow>,
+}
+
+/// A [`TraceRecord`] on the wire: flags spelled out as bools, plus the
+/// derived residual so readers see the whole decomposition.
+#[derive(Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+struct RecordRow {
+    request_id: u64,
+    item: u64,
+    arrival_tick: u64,
+    satisfied_tick: u64,
+    generation: u64,
+    channel: u64,
+    queue_position: u64,
+    arrival: f64,
+    wait: f64,
+    predicted: f64,
+    straddle_penalty: f64,
+    residual: f64,
+    seeded: bool,
+    tail: bool,
+    straddled: bool,
+}
+
+impl From<&TraceRecord> for RecordRow {
+    fn from(r: &TraceRecord) -> Self {
+        RecordRow {
+            request_id: r.request_id,
+            item: r.item,
+            arrival_tick: r.arrival_tick,
+            satisfied_tick: r.satisfied_tick,
+            generation: r.generation,
+            channel: r.channel,
+            queue_position: r.queue_position,
+            arrival: r.arrival,
+            wait: r.wait,
+            predicted: r.predicted,
+            straddle_penalty: r.straddle_penalty,
+            residual: r.residual(),
+            seeded: r.seeded(),
+            tail: r.tail(),
+            straddled: r.straddled(),
+        }
     }
 }
 
-fn push_channels(out: &mut String, channels: &[ChannelResidual]) {
-    out.push('[');
-    for (i, c) in channels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+impl From<&RecordRow> for TraceRecord {
+    fn from(r: &RecordRow) -> Self {
+        let flag = |set: bool, flag: u64| if set { flag } else { 0 };
+        TraceRecord {
+            request_id: r.request_id,
+            item: r.item,
+            arrival_tick: r.arrival_tick,
+            satisfied_tick: r.satisfied_tick,
+            generation: r.generation,
+            channel: r.channel,
+            queue_position: r.queue_position,
+            arrival: r.arrival,
+            wait: r.wait,
+            predicted: r.predicted,
+            straddle_penalty: r.straddle_penalty,
+            flags: flag(r.seeded, FLAG_SEEDED)
+                | flag(r.tail, FLAG_TAIL)
+                | flag(r.straddled, FLAG_STRADDLED),
         }
-        out.push_str(&format!(
-            "{{\"channel\": {}, \"requests\": {}, \"observed_mean\": {}, \
-             \"predicted_mean\": {}, \"residual\": {}}}",
-            c.channel,
-            c.requests,
-            json_f64(c.observed_mean),
-            json_f64(c.predicted_mean),
-            json_f64(c.residual)
-        ));
     }
-    out.push(']');
 }
 
 /// Renders a tracer snapshot to the schema-v1 wire form.
 pub fn render(snap: &AuditSnapshot) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str(&format!(
-        "{{\"schema\": {}, \"capacity\": {}, \"recorded\": {}, \"sampled\": {}, \
-         \"tail\": {}, \"straddled\": {}, \"generation\": {},\n\"residuals\": ",
-        SCHEMA_VERSION,
-        snap.capacity,
-        snap.recorded,
-        snap.sampled,
-        snap.tail,
-        snap.straddled,
-        snap.residuals.generation
-    ));
-    push_channels(&mut out, &snap.residuals.channels);
-    out.push_str(",\n\"history\": [");
-    for (i, h) in snap.history.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n {{\"generation\": {}, \"channels\": ", h.generation));
-        push_channels(&mut out, &h.channels);
-        out.push('}');
-    }
-    out.push_str("],\n\"records\": [");
-    for (i, r) in snap.records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n {{\"request_id\": {}, \"item\": {}, \"arrival_tick\": {}, \
-             \"satisfied_tick\": {}, \"generation\": {}, \"channel\": {}, \
-             \"queue_position\": {}, \"arrival\": {}, \"wait\": {}, \
-             \"predicted\": {}, \"straddle_penalty\": {}, \"residual\": {}, \
-             \"seeded\": {}, \"tail\": {}, \"straddled\": {}}}",
-            r.request_id,
-            r.item,
-            r.arrival_tick,
-            r.satisfied_tick,
-            r.generation,
-            r.channel,
-            r.queue_position,
-            json_f64(r.arrival),
-            json_f64(r.wait),
-            json_f64(r.predicted),
-            json_f64(r.straddle_penalty),
-            json_f64(r.residual()),
-            r.seeded(),
-            r.tail(),
-            r.straddled()
-        ));
-    }
-    out.push_str("]}\n");
-    out
-}
-
-fn schema_err<T>(msg: impl Into<String>) -> Result<T, AuditJsonError> {
-    Err(AuditJsonError::Schema(msg.into()))
-}
-
-fn req_u64(
-    parent: &serde_json::Value,
-    field: &str,
-    what: &str,
-) -> Result<u64, AuditJsonError> {
-    parent
-        .get(field)
-        .and_then(|v| v.as_u64())
-        .ok_or_else(|| AuditJsonError::Schema(format!("{what}.{field} is not a u64")))
-}
-
-fn req_finite(
-    parent: &serde_json::Value,
-    field: &str,
-    what: &str,
-) -> Result<f64, AuditJsonError> {
-    match parent.get(field).and_then(|v| v.as_f64()) {
-        Some(x) if x.is_finite() => Ok(x),
-        _ => schema_err(format!("{what}.{field} is not a finite number")),
-    }
-}
-
-fn req_bool(
-    parent: &serde_json::Value,
-    field: &str,
-    what: &str,
-) -> Result<bool, AuditJsonError> {
-    parent
-        .get(field)
-        .and_then(|v| v.as_bool())
-        .ok_or_else(|| AuditJsonError::Schema(format!("{what}.{field} is not a bool")))
-}
-
-fn parse_channels(
-    v: &serde_json::Value,
-    what: &str,
-) -> Result<Vec<ChannelResidual>, AuditJsonError> {
-    let seq = v
-        .as_seq()
-        .ok_or_else(|| AuditJsonError::Schema(format!("{what} is not a sequence")))?;
-    let mut out = Vec::with_capacity(seq.len());
-    for (i, entry) in seq.iter().enumerate() {
-        let what = format!("{what}[{i}]");
-        let channel = req_u64(entry, "channel", &what)? as usize;
-        if channel != i {
-            return schema_err(format!("{what} is channel {channel}, expected {i}"));
-        }
-        let requests = req_u64(entry, "requests", &what)?;
-        let observed_mean = req_finite(entry, "observed_mean", &what)?;
-        let predicted_mean = req_finite(entry, "predicted_mean", &what)?;
-        let residual = req_finite(entry, "residual", &what)?;
-        let tol = DECOMPOSITION_TOLERANCE * observed_mean.abs().max(1.0);
-        if (residual - (observed_mean - predicted_mean)).abs() > tol {
-            return schema_err(format!(
-                "{what} residual {residual} != observed {observed_mean} - \
-                 predicted {predicted_mean}"
-            ));
-        }
-        if requests == 0 && (observed_mean != 0.0 || predicted_mean != 0.0) {
-            return schema_err(format!("{what} has means but zero requests"));
-        }
-        out.push(ChannelResidual {
-            channel,
-            requests,
-            observed_mean,
-            predicted_mean,
-            residual,
-        });
-    }
-    Ok(out)
+    let doc = ExemplarsDoc {
+        schema: SCHEMA_VERSION,
+        capacity: snap.capacity,
+        recorded: snap.recorded,
+        sampled: snap.sampled,
+        tail: snap.tail,
+        straddled: snap.straddled,
+        generation: snap.residuals.generation,
+        residuals: snap.residuals.channels.clone(),
+        history: snap.history.clone(),
+        records: snap.records.iter().map(RecordRow::from).collect(),
+    };
+    serde_json::to_string(&doc).expect("/exemplars document serializes")
 }
 
 /// Parses and strictly validates an `/exemplars` payload.
 ///
 /// # Errors
 ///
-/// [`AuditJsonError::Parse`] for malformed JSON; [`AuditJsonError::Schema`]
-/// when any schema-v1 invariant fails (wrong version, out-of-order
-/// records, a record in neither sampling stage, a straddle flag
-/// without a penalty or vice versa, a decomposition that does not sum
-/// back to the observed wait, residual tables whose arithmetic is
+/// [`AuditJsonError::Parse`] for malformed JSON (including numbers that
+/// overflow `f64`); [`AuditJsonError::Schema`] for missing, mistyped or
+/// unknown keys and when any schema-v1 invariant fails (wrong version,
+/// out-of-order records, a record in neither sampling stage, a straddle
+/// flag without a penalty or vice versa, a decomposition that does not
+/// sum back to the observed wait, residual tables whose arithmetic is
 /// inconsistent, …).
 pub fn validate(text: &str) -> Result<AuditSnapshot, AuditJsonError> {
-    let root: serde_json::Value =
+    let value: serde_json::Value =
         serde_json::from_str(text).map_err(|e| AuditJsonError::Parse(e.to_string()))?;
-    let schema = req_u64(&root, "schema", "document")?;
-    if schema != SCHEMA_VERSION {
-        return schema_err(format!("unsupported schema version {schema}"));
-    }
-    let capacity = req_u64(&root, "capacity", "document")? as usize;
-    if !capacity.is_power_of_two() {
-        return schema_err(format!("capacity {capacity} is not a power of two"));
-    }
-    let recorded = req_u64(&root, "recorded", "document")?;
-    let sampled = req_u64(&root, "sampled", "document")?;
-    let tail = req_u64(&root, "tail", "document")?;
-    let straddled = req_u64(&root, "straddled", "document")?;
-    let generation = req_u64(&root, "generation", "document")?;
+    let doc = ExemplarsDoc::from_value(&value)
+        .map_err(|e| AuditJsonError::Schema(e.to_string()))?;
+    check(&doc).map_err(AuditJsonError::Schema)?;
+    Ok(AuditSnapshot {
+        capacity: doc.capacity,
+        recorded: doc.recorded,
+        sampled: doc.sampled,
+        tail: doc.tail,
+        straddled: doc.straddled,
+        residuals: GenerationResiduals {
+            generation: doc.generation,
+            channels: doc.residuals,
+        },
+        history: doc.history,
+        records: doc.records.iter().map(TraceRecord::from).collect(),
+    })
+}
 
-    let residuals = GenerationResiduals {
-        generation,
-        channels: parse_channels(
-            root.get("residuals").unwrap_or(&serde_json::Value::Null),
-            "residuals",
-        )?,
-    };
-
-    let history_val = root
-        .get("history")
-        .and_then(|v| v.as_seq())
-        .ok_or(AuditJsonError::Schema("missing history array".into()))?;
-    let mut history = Vec::with_capacity(history_val.len());
-    let mut prev_gen: Option<u64> = None;
-    for (i, entry) in history_val.iter().enumerate() {
-        let what = format!("history[{i}]");
-        let generation = req_u64(entry, "generation", &what)?;
-        if prev_gen.is_some_and(|p| p >= generation) {
-            return schema_err(format!("{what} generations not strictly increasing"));
-        }
-        prev_gen = Some(generation);
-        let channels = parse_channels(
-            entry.get("channels").unwrap_or(&serde_json::Value::Null),
-            &format!("{what}.channels"),
-        )?;
-        history.push(GenerationResiduals { generation, channels });
+/// The schema-v1 invariants a well-typed document must also satisfy.
+fn check(doc: &ExemplarsDoc) -> Result<(), String> {
+    if doc.schema != SCHEMA_VERSION {
+        return Err(format!("unsupported schema version {}", doc.schema));
     }
-
-    let records_val = root
-        .get("records")
-        .and_then(|v| v.as_seq())
-        .ok_or(AuditJsonError::Schema("missing records array".into()))?;
-    if records_val.len() > capacity {
-        return schema_err(format!(
-            "{} records exceed the declared capacity {capacity}",
-            records_val.len()
+    if !doc.capacity.is_power_of_two() {
+        return Err(format!("capacity {} is not a power of two", doc.capacity));
+    }
+    if let Some(w) = doc.history.windows(2).find(|w| w[0].generation >= w[1].generation) {
+        return Err(format!(
+            "history generation {} not strictly increasing",
+            w[1].generation
         ));
     }
-    let mut records = Vec::with_capacity(records_val.len());
-    let mut prev_id: Option<u64> = None;
-    for (i, entry) in records_val.iter().enumerate() {
-        let what = format!("records[{i}]");
-        let request_id = req_u64(entry, "request_id", &what)?;
-        if prev_id.is_some_and(|p| p >= request_id) {
-            return schema_err(format!("{what} request_ids not strictly increasing"));
+    let tables = std::iter::once((doc.generation, &doc.residuals))
+        .chain(doc.history.iter().map(|h| (h.generation, &h.channels)));
+    for (generation, channels) in tables {
+        for (i, c) in channels.iter().enumerate() {
+            let what = format!("generation {generation} residuals[{i}]");
+            if c.channel != i {
+                return Err(format!("{what} is channel {}, expected {i}", c.channel));
+            }
+            let tol = DECOMPOSITION_TOLERANCE * c.observed_mean.abs().max(1.0);
+            if (c.residual - (c.observed_mean - c.predicted_mean)).abs() > tol {
+                return Err(format!(
+                    "{what} residual {} != observed {} - predicted {}",
+                    c.residual, c.observed_mean, c.predicted_mean
+                ));
+            }
+            if c.requests == 0 && (c.observed_mean != 0.0 || c.predicted_mean != 0.0) {
+                return Err(format!("{what} has means but zero requests"));
+            }
         }
-        prev_id = Some(request_id);
-        let wait = req_finite(entry, "wait", &what)?;
-        let predicted = req_finite(entry, "predicted", &what)?;
-        let straddle_penalty = req_finite(entry, "straddle_penalty", &what)?;
-        let residual = req_finite(entry, "residual", &what)?;
-        if wait < 0.0 || predicted < 0.0 || straddle_penalty < 0.0 {
-            return schema_err(format!("{what} has a negative wait component"));
-        }
-        let tol = DECOMPOSITION_TOLERANCE * wait.abs().max(1.0);
-        if (predicted + residual + straddle_penalty - wait).abs() > tol {
-            return schema_err(format!(
-                "{what} decomposition {predicted} + {residual} + {straddle_penalty} \
-                 does not sum to wait {wait}"
-            ));
-        }
-        let seeded = req_bool(entry, "seeded", &what)?;
-        let tail = req_bool(entry, "tail", &what)?;
-        let straddled_flag = req_bool(entry, "straddled", &what)?;
-        if !seeded && !tail {
-            return schema_err(format!("{what} was caught by neither sampling stage"));
-        }
-        if straddled_flag != (straddle_penalty > 0.0) {
-            return schema_err(format!(
-                "{what} straddled={straddled_flag} but penalty={straddle_penalty}"
-            ));
-        }
-        let flags = if seeded { FLAG_SEEDED } else { 0 }
-            | if tail { FLAG_TAIL } else { 0 }
-            | if straddled_flag { FLAG_STRADDLED } else { 0 };
-        records.push(TraceRecord {
-            request_id,
-            item: req_u64(entry, "item", &what)?,
-            arrival_tick: req_u64(entry, "arrival_tick", &what)?,
-            satisfied_tick: req_u64(entry, "satisfied_tick", &what)?,
-            generation: req_u64(entry, "generation", &what)?,
-            channel: req_u64(entry, "channel", &what)?,
-            queue_position: req_u64(entry, "queue_position", &what)?,
-            arrival: req_finite(entry, "arrival", &what)?,
-            wait,
-            predicted,
-            straddle_penalty,
-            flags,
-        });
     }
-
-    Ok(AuditSnapshot {
-        capacity,
-        recorded,
-        sampled,
-        tail,
-        straddled,
-        residuals,
-        history,
-        records,
-    })
+    if doc.records.len() > doc.capacity {
+        return Err(format!(
+            "{} records exceed the declared capacity {}",
+            doc.records.len(),
+            doc.capacity
+        ));
+    }
+    if let Some(w) = doc.records.windows(2).find(|w| w[0].request_id >= w[1].request_id) {
+        return Err(format!("request_id {} not strictly increasing", w[1].request_id));
+    }
+    for r in &doc.records {
+        let what = format!("record {}", r.request_id);
+        if r.wait < 0.0 || r.predicted < 0.0 || r.straddle_penalty < 0.0 {
+            return Err(format!("{what} has a negative wait component"));
+        }
+        let tol = DECOMPOSITION_TOLERANCE * r.wait.abs().max(1.0);
+        if (r.predicted + r.residual + r.straddle_penalty - r.wait).abs() > tol {
+            return Err(format!(
+                "{what} decomposition {} + {} + {} does not sum to wait {}",
+                r.predicted, r.residual, r.straddle_penalty, r.wait
+            ));
+        }
+        if !r.seeded && !r.tail {
+            return Err(format!("{what} was caught by neither sampling stage"));
+        }
+        if r.straddled != (r.straddle_penalty > 0.0) {
+            return Err(format!(
+                "{what} straddled={} but penalty={}",
+                r.straddled, r.straddle_penalty
+            ));
+        }
+    }
+    Ok(())
 }

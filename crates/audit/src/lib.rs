@@ -320,8 +320,9 @@ mod tests {
         assert!((sum - rec.wait).abs() < 1e-9);
     }
 
-    #[test]
-    fn rendered_json_round_trips_the_validator() {
+    /// 50 records on two channels across one swap, four of them
+    /// straddling it.
+    fn populated_tracer() -> AuditTracer {
         let tracer = AuditTracer::new(AuditConfig::default(), 2);
         for id in 0..50 {
             let flags = if id % 5 == 0 { FLAG_SEEDED | FLAG_TAIL } else { FLAG_SEEDED };
@@ -329,6 +330,12 @@ mod tests {
             tracer.record(&record(id, 1.0 + id as f64 * 0.01, flags));
         }
         tracer.on_swap(6.0, 1);
+        tracer
+    }
+
+    #[test]
+    fn rendered_json_round_trips_the_validator() {
+        let tracer = populated_tracer();
         let text = tracer.render_json();
         let doc = json::validate(&text).expect("rendered payload validates");
         assert_eq!(doc.records.len(), 50);
@@ -343,9 +350,11 @@ mod tests {
         tracer.record(&record(0, 2.0, FLAG_SEEDED));
         let text = tracer.render_json();
         for (needle, replacement, why) in [
-            ("\"schema\": 1", "\"schema\": 3", "wrong version"),
-            ("\"seeded\": true", "\"seeded\": false", "stageless record"),
-            ("\"straddle_penalty\": 0.0", "\"straddle_penalty\": 0.5", "broken sum"),
+            ("\"schema\":1", "\"schema\":3", "wrong version"),
+            ("\"seeded\":true", "\"seeded\":false", "stageless record"),
+            ("\"straddle_penalty\":0,", "\"straddle_penalty\":0.5,", "broken sum"),
+            ("\"schema\":1", "\"schema\":1,\"bogus\":7", "unknown top-level key"),
+            ("\"seeded\":true", "\"seeded\":true,\"bogus\":7", "unknown record key"),
         ] {
             assert!(text.contains(needle), "fixture lost the {why} needle");
             let bad = text.replacen(needle, replacement, 1);
@@ -355,6 +364,15 @@ mod tests {
             );
         }
         assert!(matches!(json::validate("{"), Err(json::AuditJsonError::Parse(_))));
+    }
+
+    #[test]
+    fn saved_v1_documents_still_validate() {
+        let saved = json::validate(include_str!("../tests/fixtures/exemplars_v1.json"))
+            .expect("saved document validates");
+        let rendered = json::validate(&populated_tracer().render_json());
+        assert_eq!(saved, rendered.expect("render validates"));
+        assert!(saved.records.iter().any(|r| r.straddled()), "fixture has no straddler");
     }
 
     #[test]

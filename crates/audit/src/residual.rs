@@ -16,6 +16,7 @@ use serde::{Deserialize, Serialize};
 
 /// Frozen residual summary for one channel of one generation.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ChannelResidual {
     /// Channel index.
     pub channel: usize,
@@ -32,6 +33,7 @@ pub struct ChannelResidual {
 
 /// The residual summary of one (finished or live) generation.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct GenerationResiduals {
     /// Generation the means were accumulated under.
     pub generation: u64,

@@ -26,7 +26,6 @@ use crate::world::{Directory, WorldView};
 
 /// Which cache policy a client runs in front of the broadcast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
 pub enum CacheKind {
     /// No client cache.
     None,
@@ -38,7 +37,6 @@ pub enum CacheKind {
 
 /// How request item-sets are generated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
 pub enum WorkloadPattern {
     /// One item per request, drawn from the broadcast frequencies.
     Single,

@@ -1,8 +1,9 @@
-//! The `/series` wire format: a schema-versioned JSON document
-//! rendered by a self-contained writer (like the obs snapshot and
-//! flight-event exporters) and re-parsed by a strict validator — the
-//! same posture `/metrics` takes with the OpenMetrics parser, so a
-//! malformed export fails in CI rather than in an operator's console.
+//! The `/series` wire format: a schema-versioned JSON document whose
+//! types derive the serde shim's `Serialize`/`Deserialize` with
+//! `deny_unknown_fields` (the pattern `/fleet` uses), re-parsed by a
+//! strict validator — the same posture `/metrics` takes with the
+//! OpenMetrics parser, so a malformed export fails in CI rather than in
+//! an operator's console.
 //!
 //! Schema v1:
 //!
@@ -20,10 +21,13 @@
 //! ```
 //!
 //! Raw/rate entries are positional triples and bins positional
-//! 9-tuples to keep a 100-series payload compact; the validator is
-//! the schema's executable definition.
+//! 9-tuples to keep a 100-series payload compact. Missing, mistyped and
+//! unknown keys fail deserialization; [`validate`]'s `check` holds the
+//! semantic invariants on top.
 
 use std::fmt;
+
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::series::{Bin, Sample, SeriesKind};
 use crate::store::{SeriesStore, WindowQuantiles};
@@ -32,7 +36,8 @@ use crate::store::{SeriesStore, WindowQuantiles};
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// The parsed (and validated) `/series` document.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SeriesDoc {
     /// Schema version (always [`SCHEMA_VERSION`] after validation).
     pub schema: u64,
@@ -68,7 +73,8 @@ impl SeriesDoc {
 }
 
 /// One scalar series in the document.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SeriesEntry {
     /// Registry metric name.
     pub name: String,
@@ -97,7 +103,8 @@ impl SeriesEntry {
 }
 
 /// One histogram in the document.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct HistEntry {
     /// Registry metric name.
     pub name: String,
@@ -107,6 +114,75 @@ pub struct HistEntry {
     pub sum: u64,
     /// Windowed quantiles, one per configured window.
     pub windows: Vec<WindowQuantiles>,
+}
+
+/// Wire form: `"counter"` or `"gauge"`.
+impl Serialize for SeriesKind {
+    fn to_value(&self) -> Value {
+        Value::Str(self.name().to_string())
+    }
+}
+
+impl Deserialize for SeriesKind {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        v.as_str()
+            .and_then(SeriesKind::from_name)
+            .ok_or_else(|| DeError::expected("\"counter\" or \"gauge\"", "kind", v))
+    }
+}
+
+/// Wire form: the positional triple `[tick, wall_ms, value]`.
+impl Serialize for Sample {
+    fn to_value(&self) -> Value {
+        (self.tick, self.wall_ms, self.value).to_value()
+    }
+}
+
+impl Deserialize for Sample {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let (tick, wall_ms, value) = Deserialize::from_value(v)?;
+        Ok(Sample { tick, wall_ms, value })
+    }
+}
+
+/// Wire form: the positional 9-tuple `[start_tick, end_tick,
+/// start_wall_ms, end_wall_ms, count, min, max, mean, last]`; the sum
+/// is carried as its mean.
+impl Serialize for Bin {
+    fn to_value(&self) -> Value {
+        let b = self;
+        (
+            b.start_tick,
+            b.end_tick,
+            b.start_wall_ms,
+            b.end_wall_ms,
+            b.count,
+            b.min,
+            b.max,
+            b.mean(),
+            b.last,
+        )
+            .to_value()
+    }
+}
+
+impl Deserialize for Bin {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let (start_tick, end_tick, start_wall_ms, end_wall_ms, count, min, max, mean, last) =
+            <(u64, u64, u64, u64, u64, f64, f64, f64, f64)>::from_value(v)?;
+        let sum = mean * count as f64;
+        Ok(Bin {
+            start_tick,
+            end_tick,
+            start_wall_ms,
+            end_wall_ms,
+            count,
+            min,
+            max,
+            sum,
+            last,
+        })
+    }
 }
 
 /// Why a `/series` payload failed validation.
@@ -130,102 +206,9 @@ impl fmt::Display for SeriesError {
 
 impl std::error::Error for SeriesError {}
 
-fn json_f64(v: f64) -> String {
-    // The store never admits non-finite values, so this is belt and
-    // braces for a hand-built document.
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn push_samples(out: &mut String, samples: &[Sample]) {
-    out.push('[');
-    for (i, s) in samples.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("[{},{},{}]", s.tick, s.wall_ms, json_f64(s.value)));
-    }
-    out.push(']');
-}
-
-fn push_bins(out: &mut String, bins: &[Bin]) {
-    out.push('[');
-    for (i, b) in bins.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "[{},{},{},{},{},{},{},{},{}]",
-            b.start_tick,
-            b.end_tick,
-            b.start_wall_ms,
-            b.end_wall_ms,
-            b.count,
-            json_f64(b.min),
-            json_f64(b.max),
-            json_f64(b.mean()),
-            json_f64(b.last)
-        ));
-    }
-    out.push(']');
-}
-
 /// Renders a document to the schema-v1 wire form.
 pub fn render(doc: &SeriesDoc) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str(&format!(
-        "{{\"schema\": {}, \"tick\": {}, \"wall_ms\": {},\n\"series\": [",
-        doc.schema, doc.tick, doc.wall_ms
-    ));
-    for (i, s) in doc.series.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n {{\"name\": \"{}\", \"kind\": \"{}\", \"raw\": ",
-            s.name,
-            s.kind.name()
-        ));
-        push_samples(&mut out, &s.raw);
-        out.push_str(", \"mid\": ");
-        push_bins(&mut out, &s.mid);
-        out.push_str(", \"coarse\": ");
-        push_bins(&mut out, &s.coarse);
-        out.push_str(", \"rate\": ");
-        push_samples(&mut out, &s.rate);
-        out.push('}');
-    }
-    out.push_str("],\n\"histograms\": [");
-    for (i, h) in doc.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n {{\"name\": \"{}\", \"count\": {}, \"sum\": {}, \"windows\": [",
-            h.name, h.count, h.sum
-        ));
-        for (j, w) in h.windows.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"window\": {}, \"spanned\": {}, \"count\": {}, \"p50\": {}, \
-                 \"p90\": {}, \"p99\": {}}}",
-                w.window,
-                w.spanned,
-                w.count,
-                json_f64(w.p50),
-                json_f64(w.p90),
-                json_f64(w.p99)
-            ));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}\n");
-    out
+    serde_json::to_string(doc).expect("/series document serializes")
 }
 
 /// Renders the store's current contents to the wire form.
@@ -233,233 +216,90 @@ pub fn render_store(store: &SeriesStore) -> String {
     render(&store.export())
 }
 
-fn schema_err<T>(msg: impl Into<String>) -> Result<T, SeriesError> {
-    Err(SeriesError::Schema(msg.into()))
-}
-
-fn req_u64(v: &serde_json::Value, what: &str) -> Result<u64, SeriesError> {
-    v.as_u64().ok_or_else(|| SeriesError::Schema(format!("{what} is not a u64")))
-}
-
-fn req_finite(v: &serde_json::Value, what: &str) -> Result<f64, SeriesError> {
-    match v.as_f64() {
-        Some(x) if x.is_finite() => Ok(x),
-        _ => schema_err(format!("{what} is not a finite number")),
-    }
-}
-
-fn parse_samples(v: &serde_json::Value, what: &str) -> Result<Vec<Sample>, SeriesError> {
-    let seq = v
-        .as_seq()
-        .ok_or_else(|| SeriesError::Schema(format!("{what} is not a sequence")))?;
-    let mut out = Vec::with_capacity(seq.len());
-    let mut prev_wall = 0u64;
-    for (i, entry) in seq.iter().enumerate() {
-        let triple = entry
-            .as_seq()
-            .filter(|t| t.len() == 3)
-            .ok_or_else(|| SeriesError::Schema(format!("{what}[{i}] is not a triple")))?;
-        let tick = req_u64(&triple[0], &format!("{what}[{i}].tick"))?;
-        let wall_ms = req_u64(&triple[1], &format!("{what}[{i}].wall_ms"))?;
-        let value = req_finite(&triple[2], &format!("{what}[{i}].value"))?;
-        if wall_ms < prev_wall {
-            return schema_err(format!("{what}[{i}] wall_ms goes backwards"));
-        }
-        prev_wall = wall_ms;
-        out.push(Sample { tick, wall_ms, value });
-    }
-    Ok(out)
-}
-
-fn parse_bins(v: &serde_json::Value, what: &str) -> Result<Vec<Bin>, SeriesError> {
-    let seq = v
-        .as_seq()
-        .ok_or_else(|| SeriesError::Schema(format!("{what} is not a sequence")))?;
-    let mut out = Vec::with_capacity(seq.len());
-    for (i, entry) in seq.iter().enumerate() {
-        let t = entry
-            .as_seq()
-            .filter(|t| t.len() == 9)
-            .ok_or_else(|| SeriesError::Schema(format!("{what}[{i}] is not a 9-tuple")))?;
-        let count = req_u64(&t[4], &format!("{what}[{i}].count"))?;
-        if count == 0 {
-            return schema_err(format!("{what}[{i}] has count 0"));
-        }
-        let min = req_finite(&t[5], &format!("{what}[{i}].min"))?;
-        let max = req_finite(&t[6], &format!("{what}[{i}].max"))?;
-        let mean = req_finite(&t[7], &format!("{what}[{i}].mean"))?;
-        let last = req_finite(&t[8], &format!("{what}[{i}].last"))?;
-        let tol = 1e-9 * min.abs().max(max.abs()).max(1.0);
-        if min > max || mean < min - tol || mean > max + tol {
-            return schema_err(format!(
-                "{what}[{i}] violates min <= mean <= max: {min} / {mean} / {max}"
-            ));
-        }
-        out.push(Bin {
-            start_tick: req_u64(&t[0], &format!("{what}[{i}].start_tick"))?,
-            end_tick: req_u64(&t[1], &format!("{what}[{i}].end_tick"))?,
-            start_wall_ms: req_u64(&t[2], &format!("{what}[{i}].start_wall_ms"))?,
-            end_wall_ms: req_u64(&t[3], &format!("{what}[{i}].end_wall_ms"))?,
-            count,
-            min,
-            max,
-            sum: mean * count as f64,
-            last,
-        });
-    }
-    Ok(out)
-}
-
 /// Parses and strictly validates a `/series` payload.
 ///
 /// # Errors
 ///
-/// [`SeriesError::Parse`] for malformed JSON; [`SeriesError::Schema`]
-/// when any schema-v1 invariant fails (wrong version, unsorted or
-/// duplicate names, malformed triples/bins, negative rates, bins
-/// whose mean escapes `[min, max]`, unordered quantiles, …).
+/// [`SeriesError::Parse`] for malformed JSON (including numbers that
+/// overflow `f64`); [`SeriesError::Schema`] for missing, mistyped or
+/// unknown keys and when any schema-v1 invariant fails (wrong version,
+/// unsorted or duplicate names, backwards `wall_ms`, negative counter
+/// values or rates, bins whose mean escapes `[min, max]`, unordered
+/// quantiles, …).
 pub fn validate(text: &str) -> Result<SeriesDoc, SeriesError> {
-    let root: serde_json::Value =
+    let value: Value =
         serde_json::from_str(text).map_err(|e| SeriesError::Parse(e.to_string()))?;
-    let schema = req_u64(
-        root.get("schema").ok_or(SeriesError::Schema("missing schema".into()))?,
-        "schema",
-    )?;
-    if schema != SCHEMA_VERSION {
-        return schema_err(format!("unsupported schema version {schema}"));
-    }
-    let tick = req_u64(
-        root.get("tick").ok_or(SeriesError::Schema("missing tick".into()))?,
-        "tick",
-    )?;
-    let wall_ms = req_u64(
-        root.get("wall_ms").ok_or(SeriesError::Schema("missing wall_ms".into()))?,
-        "wall_ms",
-    )?;
+    let doc =
+        SeriesDoc::from_value(&value).map_err(|e| SeriesError::Schema(e.to_string()))?;
+    check(&doc).map_err(SeriesError::Schema)?;
+    Ok(doc)
+}
 
-    let series_val = root
-        .get("series")
-        .and_then(|v| v.as_seq())
-        .ok_or(SeriesError::Schema("missing series array".into()))?;
-    let mut series = Vec::with_capacity(series_val.len());
-    let mut prev_name: Option<String> = None;
-    for (i, entry) in series_val.iter().enumerate() {
-        let name = entry
-            .get("name")
-            .and_then(|v| v.as_str())
-            .filter(|n| !n.is_empty())
-            .ok_or_else(|| SeriesError::Schema(format!("series[{i}] has no name")))?
-            .to_string();
-        if prev_name.as_deref() >= Some(name.as_str()) {
-            return schema_err(format!("series names not strictly sorted at {name:?}"));
+/// The schema-v1 invariants a well-typed document must also satisfy.
+fn check(doc: &SeriesDoc) -> Result<(), String> {
+    if doc.schema != SCHEMA_VERSION {
+        return Err(format!("unsupported schema version {}", doc.schema));
+    }
+    let series: Vec<&str> = doc.series.iter().map(|s| s.name.as_str()).collect();
+    let histograms: Vec<&str> = doc.histograms.iter().map(|h| h.name.as_str()).collect();
+    for (what, names) in [("series", series), ("histogram", histograms)] {
+        if names.contains(&"") {
+            return Err(format!("{what} with an empty name"));
         }
-        let kind = entry
-            .get("kind")
-            .and_then(|v| v.as_str())
-            .and_then(SeriesKind::from_name)
-            .ok_or_else(|| SeriesError::Schema(format!("series {name:?} bad kind")))?;
-        let raw = parse_samples(
-            entry.get("raw").unwrap_or(&serde_json::Value::Null),
-            &format!("series {name:?} raw"),
-        )?;
-        let mid = parse_bins(
-            entry.get("mid").unwrap_or(&serde_json::Value::Null),
-            &format!("series {name:?} mid"),
-        )?;
-        let coarse = parse_bins(
-            entry.get("coarse").unwrap_or(&serde_json::Value::Null),
-            &format!("series {name:?} coarse"),
-        )?;
-        let rate = parse_samples(
-            entry.get("rate").unwrap_or(&serde_json::Value::Null),
-            &format!("series {name:?} rate"),
-        )?;
-        match kind {
-            SeriesKind::Counter => {
-                if raw.iter().any(|s| s.value < 0.0) {
-                    return schema_err(format!("counter {name:?} has a negative value"));
+        if let Some(w) = names.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(format!("{what} names not strictly sorted at {:?}", w[1]));
+        }
+    }
+
+    for s in &doc.series {
+        let name = &s.name;
+        for (what, samples) in [("raw", &s.raw), ("rate", &s.rate)] {
+            if let Some(i) = samples.windows(2).position(|w| w[1].wall_ms < w[0].wall_ms) {
+                return Err(format!(
+                    "series {name:?} {what}[{}] wall_ms goes backwards",
+                    i + 1
+                ));
+            }
+        }
+        for (what, bins) in [("mid", &s.mid), ("coarse", &s.coarse)] {
+            for (i, b) in bins.iter().enumerate() {
+                if b.count == 0 {
+                    return Err(format!("series {name:?} {what}[{i}] has count 0"));
                 }
-                if rate.iter().any(|s| s.value < 0.0) {
-                    return schema_err(format!("counter {name:?} has a negative rate"));
+                let (min, mean, max) = (b.min, b.mean(), b.max);
+                let tol = 1e-9 * min.abs().max(max.abs()).max(1.0);
+                if min > max || mean < min - tol || mean > max + tol {
+                    return Err(format!(
+                        "series {name:?} {what}[{i}] violates min <= mean <= max: \
+                         {min} / {mean} / {max}"
+                    ));
+                }
+            }
+        }
+        match s.kind {
+            SeriesKind::Counter => {
+                if s.raw.iter().any(|x| x.value < 0.0) {
+                    return Err(format!("counter {name:?} has a negative value"));
+                }
+                if s.rate.iter().any(|x| x.value < 0.0) {
+                    return Err(format!("counter {name:?} has a negative rate"));
                 }
             }
             SeriesKind::Gauge => {
-                if !rate.is_empty() {
-                    return schema_err(format!("gauge {name:?} carries rates"));
+                if !s.rate.is_empty() {
+                    return Err(format!("gauge {name:?} carries rates"));
                 }
             }
         }
-        prev_name = Some(name.clone());
-        series.push(SeriesEntry { name, kind, raw, mid, coarse, rate });
     }
-
-    let hist_val = root
-        .get("histograms")
-        .and_then(|v| v.as_seq())
-        .ok_or(SeriesError::Schema("missing histograms array".into()))?;
-    let mut histograms = Vec::with_capacity(hist_val.len());
-    let mut prev_name: Option<String> = None;
-    for (i, entry) in hist_val.iter().enumerate() {
-        let name = entry
-            .get("name")
-            .and_then(|v| v.as_str())
-            .filter(|n| !n.is_empty())
-            .ok_or_else(|| SeriesError::Schema(format!("histograms[{i}] has no name")))?
-            .to_string();
-        if prev_name.as_deref() >= Some(name.as_str()) {
-            return schema_err(format!("histogram names not strictly sorted at {name:?}"));
+    for h in &doc.histograms {
+        if let Some(j) =
+            h.windows.iter().position(|q| q.p50 < 0.0 || q.p50 > q.p90 || q.p90 > q.p99)
+        {
+            return Err(format!("histogram {:?} windows[{j}] quantiles unordered", h.name));
         }
-        let count = req_u64(
-            entry.get("count").unwrap_or(&serde_json::Value::Null),
-            &format!("histogram {name:?} count"),
-        )?;
-        let sum = req_u64(
-            entry.get("sum").unwrap_or(&serde_json::Value::Null),
-            &format!("histogram {name:?} sum"),
-        )?;
-        let windows_val = entry
-            .get("windows")
-            .and_then(|v| v.as_seq())
-            .ok_or_else(|| SeriesError::Schema(format!("histogram {name:?} windows")))?;
-        let mut windows = Vec::with_capacity(windows_val.len());
-        for (j, w) in windows_val.iter().enumerate() {
-            let what = format!("histogram {name:?} windows[{j}]");
-            let q = WindowQuantiles {
-                window: req_u64(
-                    w.get("window").unwrap_or(&serde_json::Value::Null),
-                    &format!("{what}.window"),
-                )?,
-                spanned: req_u64(
-                    w.get("spanned").unwrap_or(&serde_json::Value::Null),
-                    &format!("{what}.spanned"),
-                )?,
-                count: req_u64(
-                    w.get("count").unwrap_or(&serde_json::Value::Null),
-                    &format!("{what}.count"),
-                )?,
-                p50: req_finite(
-                    w.get("p50").unwrap_or(&serde_json::Value::Null),
-                    &format!("{what}.p50"),
-                )?,
-                p90: req_finite(
-                    w.get("p90").unwrap_or(&serde_json::Value::Null),
-                    &format!("{what}.p90"),
-                )?,
-                p99: req_finite(
-                    w.get("p99").unwrap_or(&serde_json::Value::Null),
-                    &format!("{what}.p99"),
-                )?,
-            };
-            if q.p50 < 0.0 || q.p50 > q.p90 || q.p90 > q.p99 {
-                return schema_err(format!("{what} quantiles unordered"));
-            }
-            windows.push(q);
-        }
-        prev_name = Some(name.clone());
-        histograms.push(HistEntry { name, count, sum, windows });
     }
-
-    Ok(SeriesDoc { schema, tick, wall_ms, series, histograms })
+    Ok(())
 }
 
 #[cfg(test)]
@@ -499,19 +339,41 @@ mod tests {
         assert_eq!(drift.mid.len(), 2);
     }
 
+    /// The test store as a document, its real age (`wall_ms`) zeroed as
+    /// in the saved fixture.
+    fn populated_doc() -> SeriesDoc {
+        SeriesDoc { wall_ms: 0, ..populated_store().export() }
+    }
+
+    #[test]
+    fn saved_v1_documents_still_validate() {
+        let saved = validate(include_str!("../tests/fixtures/series_v1.json"))
+            .expect("saved document validates");
+        assert_eq!(saved, validate(&render(&populated_doc())).expect("render validates"));
+    }
+
     #[test]
     fn tampered_payloads_are_rejected() {
         let text = render_store(&populated_store());
-        for (needle, replacement, why) in [
-            ("\"schema\": 1", "\"schema\": 2", "wrong version"),
-            ("\"kind\": \"counter\"", "\"kind\": \"delta\"", "unknown kind"),
-            ("\"wall_ms\":", "\"wall\":", "missing wall_ms"),
+        let schema = std::mem::discriminant(&SeriesError::Schema(String::new()));
+        let parse = std::mem::discriminant(&SeriesError::Parse(String::new()));
+        for (needle, replacement, want, why) in [
+            ("\"schema\":1", "\"schema\":2", schema, "wrong version"),
+            ("\"kind\":\"counter\"", "\"kind\":\"delta\"", schema, "unknown kind"),
+            ("\"wall_ms\":", "\"wall\":", schema, "missing wall_ms"),
+            ("{\"schema\"", "{\"bogus\":7,\"schema\"", schema, "unknown top-level key"),
+            (
+                "\"kind\":\"counter\"",
+                "\"kind\":\"counter\",\"bogus\":7",
+                schema,
+                "unknown series key",
+            ),
+            ("\"raw\":[[0,0,0]", "\"raw\":[[0,0,1e999]", parse, "overflowing value"),
         ] {
+            assert!(text.contains(needle), "fixture lost the {why} needle");
             let bad = text.replacen(needle, replacement, 1);
-            assert!(
-                matches!(validate(&bad), Err(SeriesError::Schema(_))),
-                "{why} accepted"
-            );
+            let err = validate(&bad).expect_err(why);
+            assert_eq!(std::mem::discriminant(&err), want, "{why}: {err}");
         }
         assert!(matches!(validate("{nope"), Err(SeriesError::Parse(_))));
     }

@@ -13,9 +13,10 @@
 //!   derivation and windowed histogram quantiles from bucket deltas;
 //! * [`sampler::Sampler`] — a background thread scraping the registry
 //!   on a fixed cadence (cost pinned in the BENCH contract);
-//! * [`json`] — the schema-versioned `/series` wire format plus its
-//!   strict validator (the `/metrics` OpenMetrics posture, applied to
-//!   history);
+//! * [`json`] — the schema-versioned `/series` wire format: derived
+//!   serde types that reject unknown keys, plus a strict validator of
+//!   the schema's invariants (the `/metrics` OpenMetrics posture,
+//!   applied to history);
 //! * [`watchdog`] — threshold/stall rules with sustained windows
 //!   ("burn_rate > 1 for 5s", "drift but no repair within N ticks")
 //!   that latch, emit flight events, fire postmortem dumps and drive

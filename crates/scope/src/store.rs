@@ -12,6 +12,7 @@ use std::time::Instant;
 use dbcast_obs::metrics::HistogramSnapshot;
 use dbcast_obs::metrics::{bucket_index, bucket_lower_bound, bucket_upper_bound, BUCKETS};
 use dbcast_obs::snapshot::Snapshot;
+use serde::{Deserialize, Serialize};
 
 use crate::json::{HistEntry, SeriesDoc, SeriesEntry};
 use crate::ring::Ring;
@@ -93,7 +94,8 @@ impl HistSnap {
 /// Quantiles over the observations that arrived within a scrape
 /// window, estimated from bucket-count deltas (bucket midpoints, like
 /// the obs snapshot percentiles).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct WindowQuantiles {
     /// Requested window length (scrape samples).
     pub window: u64,

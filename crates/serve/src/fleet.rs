@@ -609,6 +609,13 @@ mod tests {
         assert!(validate_fleet(&bad_schema).is_err());
         let unknown = good.replace("\"published\"", "\"publishedd\"");
         assert!(validate_fleet(&unknown).is_err());
+        for (needle, extra) in
+            [("\"published\"", "top-level"), ("\"origin\"", "generation row")]
+        {
+            assert!(good.contains(needle));
+            let bad = good.replacen(needle, &format!("\"bogus\": 7, {needle}"), 1);
+            assert!(validate_fleet(&bad).is_err(), "unknown {extra} key accepted");
+        }
         let bad_stragglers = good.replace("\"stragglers\": 0", "\"stragglers\": 7");
         assert!(validate_fleet(&bad_stragglers).is_err());
         assert!(validate_fleet("{}").is_err());
