@@ -76,6 +76,38 @@ fn paper_example_prints_published_costs() {
     let out = run(|w| commands::run_paper_example(&args, w));
     assert!(out.contains("22.29"));
     assert!(out.contains("CDS step 1: move d10 from group 4 to group 2"));
+    // The whole `--trace` rendering of Tables 3 and 4, byte for byte.
+    let expected = "\
+paper worked example: 15 items, 5 channels
+DRP iteration 0 (total cost 135.60):
+  group 1: {d9 d2 d3 d6 d5 d15 d1 d12 d10 d13 d4 d8 d14 d7 d11} cost 135.60
+DRP iteration 1 (total cost 57.66):
+  group 1: {d9 d2 d3 d6 d5 d15 d1 d12} cost 29.04
+  group 2: {d10 d13 d4 d8 d14 d7 d11} cost 28.61
+DRP iteration 2 (total cost 42.46):
+  group 1: {d9 d2 d3 d6 d5 d15} cost 7.02
+  group 2: {d1 d12} cost 6.82
+  group 3: {d10 d13 d4 d8 d14 d7 d11} cost 28.61
+DRP iteration 3 (total cost 27.45):
+  group 1: {d9 d2 d3 d6 d5 d15} cost 7.02
+  group 2: {d1 d12} cost 6.82
+  group 3: {d10 d13 d4 d8} cost 7.26
+  group 4: {d14 d7 d11} cost 6.35
+DRP iteration 4 (total cost 24.08):
+  group 1: {d9 d2 d3} cost 2.59
+  group 2: {d6 d5 d15} cost 1.07
+  group 3: {d1 d12} cost 6.82
+  group 4: {d10 d13 d4 d8} cost 7.26
+  group 5: {d14 d7 d11} cost 6.35
+CDS step 1: move d10 from group 4 to group 2 (dc = 0.95, cost -> 23.14)
+CDS step 2: move d12 from group 3 to group 2 (dc = 0.45, cost -> 22.68)
+CDS step 3: move d6 from group 2 to group 1 (dc = 0.05, cost -> 22.64)
+CDS step 4: move d14 from group 5 to group 2 (dc = 0.34, cost -> 22.29)
+DRP cost: 24.08 (paper Table 3: 24.09 from rounded groups)
+DRP-CDS cost: 22.29 (paper Table 4: 22.29)
+CDS moves applied: 4
+";
+    assert_eq!(out, expected);
 }
 
 #[test]
