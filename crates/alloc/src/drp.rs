@@ -68,41 +68,50 @@ impl Ord for Segment {
     }
 }
 
-/// One group in a recorded DRP iteration: its members (in benefit-ratio
-/// order) and its cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GroupSnapshot {
-    /// Item ids in benefit-ratio order.
-    pub members: Vec<ItemId>,
-    /// Group cost `(Σf)(Σz)`.
-    pub cost: f64,
-}
-
-/// The state after one DRP iteration (one split), mirroring the rows of
-/// the paper's Table 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DrpIteration {
-    /// Groups in benefit-ratio order of their first member.
-    pub groups: Vec<GroupSnapshot>,
-}
-
-impl DrpIteration {
-    /// Total cost across groups after this iteration.
-    pub fn total_cost(&self) -> f64 {
-        self.groups.iter().map(|g| g.cost).sum()
-    }
-}
-
-/// The full result of a DRP run: the allocation plus the per-iteration
-/// trace used to reproduce Table 3.
+/// The full result of a DRP run: the allocation plus the split log that
+/// reproduces Table 3.
+///
+/// Every DRP group is a contiguous range of one benefit-ratio order, so
+/// the state after `i` splits is fully described by the first `i` split
+/// points; [`groups_after`](Self::groups_after) replays them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DrpOutcome {
     /// The final allocation (channel `i` = `i`-th segment in
     /// benefit-ratio order).
     pub allocation: Allocation,
-    /// State after every iteration, starting with the initial
-    /// single-group state (so there are `K` entries in total).
-    pub iterations: Vec<DrpIteration>,
+    /// Item ids in descending benefit-ratio order.
+    pub order: Vec<ItemId>,
+    /// Cost `(Σf)(Σz)` of the initial single group.
+    pub initial_cost: f64,
+    /// The `K − 1` splits in the order DRP made them, with the costs of
+    /// the two groups each one created.
+    pub splits: Vec<SplitPoint>,
+}
+
+impl DrpOutcome {
+    /// The groups after the first `splits` splits — row `splits` of the
+    /// paper's Table 3 — as member slices of [`order`](Self::order) with
+    /// their costs, in benefit-ratio order of their first member.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `splits` exceeds the number of recorded splits.
+    pub fn groups_after(&self, splits: usize) -> Vec<(&[ItemId], f64)> {
+        // `(start, cost)` per group, sorted by start; a group ends where
+        // the next one starts.
+        let mut groups = vec![(0, self.initial_cost)];
+        for s in &self.splits[..splits] {
+            let g = groups.partition_point(|&(start, _)| start < s.at) - 1;
+            groups[g].1 = s.left_cost;
+            groups.insert(g + 1, (s.at, s.right_cost));
+        }
+        let ends = groups.iter().skip(1).map(|&(start, _)| start).chain([self.order.len()]);
+        groups
+            .iter()
+            .zip(ends)
+            .map(|(&(start, cost), end)| (&self.order[start..end], cost))
+            .collect()
+    }
 }
 
 /// The DRP allocator (paper §3.1).
@@ -160,7 +169,7 @@ impl Drp {
         Segment { start, end, cost, split, priority }
     }
 
-    /// Runs DRP and returns both the allocation and the iteration trace.
+    /// Runs DRP and returns both the allocation and the split log.
     ///
     /// # Errors
     ///
@@ -198,25 +207,10 @@ impl Drp {
             .collect();
         let (pf, pz) = prefix_sums(&features);
 
-        let mut heap: BinaryHeap<Segment> = BinaryHeap::new();
-        heap.push(self.make_segment(&pf, &pz, 0, db.len()));
-
-        let snapshot = |heap: &BinaryHeap<Segment>| {
-            let mut segs: Vec<Segment> = heap.iter().copied().collect();
-            segs.sort_by_key(|s| s.start);
-            DrpIteration {
-                groups: segs
-                    .into_iter()
-                    .map(|s| GroupSnapshot {
-                        members: order[s.start..s.end].to_vec(),
-                        cost: s.cost,
-                    })
-                    .collect(),
-            }
-        };
-
-        let mut iterations = vec![snapshot(&heap)];
-        let mut obs_trace = dbcast_obs::trace::ConvergenceTrace::new("alloc.drp");
+        let root = self.make_segment(&pf, &pz, 0, db.len());
+        let initial_cost = root.cost;
+        let mut heap = BinaryHeap::from([root]);
+        let mut splits = Vec::new();
         // Segments that can no longer be split (len 1) keep NEG_INFINITY
         // priority and sink to the bottom of the heap; if one surfaces,
         // every group is a singleton and K > N would have been required
@@ -229,19 +223,28 @@ impl Drp {
             let prefix = self.make_segment(&pf, &pz, seg.start, split.at);
             let suffix = self.make_segment(&pf, &pz, split.at, seg.end);
             dbcast_obs::counter!("alloc.drp.splits").inc();
-            if dbcast_obs::enabled() {
-                obs_trace.push(dbcast_obs::trace::TraceEvent::DrpSplit {
-                    split: obs_trace.len() + 1,
-                    chosen_index: split.at,
-                    prefix_cost: prefix.cost,
-                    suffix_cost: suffix.cost,
-                });
-            }
+            // Record the groups' own costs, not the scan's: they are the
+            // same prefix-sum products the final groups report.
+            splits.push(SplitPoint {
+                left_cost: prefix.cost,
+                right_cost: suffix.cost,
+                ..split
+            });
             heap.push(prefix);
             heap.push(suffix);
-            iterations.push(snapshot(&heap));
         }
-        obs_trace.record();
+        if dbcast_obs::enabled() {
+            let mut trace = dbcast_obs::trace::ConvergenceTrace::new("alloc.drp");
+            for (i, s) in splits.iter().enumerate() {
+                trace.push(dbcast_obs::trace::TraceEvent::DrpSplit {
+                    split: i + 1,
+                    chosen_index: s.at,
+                    prefix_cost: s.left_cost,
+                    suffix_cost: s.right_cost,
+                });
+            }
+            trace.record();
+        }
 
         let mut segs: Vec<Segment> = heap.into_iter().collect();
         segs.sort_by_key(|s| s.start);
@@ -252,7 +255,7 @@ impl Drp {
             }
         }
         let allocation = Allocation::from_assignment(db, channels, assignment)?;
-        Ok(DrpOutcome { allocation, iterations })
+        Ok(DrpOutcome { allocation, order, initial_cost, splits })
     }
 }
 
@@ -301,7 +304,7 @@ mod tests {
     fn k_one_is_the_whole_database() {
         let db = uniform_db(5);
         let out = Drp::new().allocate_traced(&db, 1).unwrap();
-        assert_eq!(out.iterations.len(), 1);
+        assert_eq!(out.splits.len() + 1, 1);
         assert_eq!(out.allocation.all_channel_stats()[0].items, 5);
     }
 
@@ -334,10 +337,13 @@ mod tests {
         let db = dbcast_workload::WorkloadBuilder::new(80).seed(9).build().unwrap();
         for priority in [SplitPriority::Cost, SplitPriority::Gain] {
             let out = Drp::new().with_priority(priority).allocate_traced(&db, 8).unwrap();
-            for w in out.iterations.windows(2) {
-                assert!(w[1].total_cost() <= w[0].total_cost() + 1e-9);
+            let totals: Vec<f64> = (0..=out.splits.len())
+                .map(|i| out.groups_after(i).iter().map(|g| g.1).sum())
+                .collect();
+            for w in totals.windows(2) {
+                assert!(w[1] <= w[0] + 1e-9);
             }
-            let final_cost = out.iterations.last().unwrap().total_cost();
+            let final_cost = *totals.last().unwrap();
             assert!((final_cost - out.allocation.total_cost()).abs() < 1e-9);
         }
     }
@@ -349,10 +355,10 @@ mod tests {
             Drp::new().with_priority(SplitPriority::Cost).allocate_traced(&db, 3).unwrap();
         // Iteration 1 has two groups; iteration 2 must have split the
         // costlier one, so its cost no longer appears.
-        let it1 = &out.iterations[1];
-        let max_cost = it1.groups.iter().map(|g| g.cost).fold(f64::MIN, f64::max);
-        let it2 = &out.iterations[2];
-        assert!(it2.groups.iter().all(|g| (g.cost - max_cost).abs() > 1e-9));
+        let it1 = out.groups_after(1);
+        let max_cost = it1.iter().map(|g| g.1).fold(f64::MIN, f64::max);
+        let it2 = out.groups_after(2);
+        assert!(it2.iter().all(|g| (g.1 - max_cost).abs() > 1e-9));
     }
 
     #[test]
@@ -362,12 +368,11 @@ mod tests {
         let db = dbcast_workload::paper::table2_profile();
         for priority in [SplitPriority::Cost, SplitPriority::Gain] {
             let out = Drp::new().with_priority(priority).allocate_traced(&db, 5).unwrap();
-            let it1 = &out.iterations[1];
-            assert_eq!(it1.groups.len(), 2);
-            assert!((it1.groups[0].cost - 29.04).abs() < 0.01, "{}", it1.groups[0].cost);
-            assert!((it1.groups[1].cost - 28.62).abs() < 0.01, "{}", it1.groups[1].cost);
-            let labels: Vec<usize> =
-                it1.groups[0].members.iter().map(|i| i.index() + 1).collect();
+            let it1 = out.groups_after(1);
+            assert_eq!(it1.len(), 2);
+            assert!((it1[0].1 - 29.04).abs() < 0.01, "{}", it1[0].1);
+            assert!((it1[1].1 - 28.62).abs() < 0.01, "{}", it1[1].1);
+            let labels: Vec<usize> = it1[0].0.iter().map(|i| i.index() + 1).collect();
             assert_eq!(labels, vec![9, 2, 3, 6, 5, 15, 1, 12]);
         }
     }
@@ -380,12 +385,9 @@ mod tests {
         let db = dbcast_workload::paper::table2_profile();
         let out = Drp::new().allocate_traced(&db, 5).unwrap();
         let final_groups: Vec<(Vec<usize>, f64)> = out
-            .iterations
-            .last()
-            .unwrap()
-            .groups
+            .groups_after(out.splits.len())
             .iter()
-            .map(|g| (g.members.iter().map(|i| i.index() + 1).collect(), g.cost))
+            .map(|g| (g.0.iter().map(|i| i.index() + 1).collect(), g.1))
             .collect();
         let expected: Vec<(Vec<usize>, f64)> = vec![
             (vec![9, 2, 3], 2.59),

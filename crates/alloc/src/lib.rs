@@ -43,7 +43,7 @@ mod partition;
 mod pipeline;
 
 pub use cds::{Cds, CdsOutcome, CdsStep, ReferenceCds};
-pub use drp::{Drp, DrpIteration, DrpOutcome, GroupSnapshot, SplitPriority};
+pub use drp::{Drp, DrpOutcome, SplitPriority};
 pub use dynamic::{DynamicBroadcast, DynamicError, ItemHandle, RepairOutcome, RepairStats};
 pub use engine::{BestMoveEngine, EngineMove};
 pub use partition::{best_split, SplitPoint};

@@ -9,7 +9,7 @@ use crate::drp::{Drp, DrpOutcome};
 /// The combined outcome of a traced DRP-CDS run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DrpCdsOutcome {
-    /// The DRP phase (rough allocation + Table 3-style trace).
+    /// The DRP phase (rough allocation + Table 3-style split log).
     pub drp: DrpOutcome,
     /// The CDS phase (refined allocation + Table 4-style trace).
     pub cds: CdsOutcome,
@@ -119,7 +119,7 @@ mod tests {
     fn trace_contains_both_phases() {
         let db = dbcast_workload::paper::table2_profile();
         let out = DrpCds::new().allocate_traced(&db, 5).unwrap();
-        assert_eq!(out.drp.iterations.len(), 5);
+        assert_eq!(out.drp.splits.len() + 1, 5);
         assert!(out.cds.converged);
         assert_eq!(out.allocation(), &out.cds.allocation);
     }

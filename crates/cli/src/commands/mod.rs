@@ -35,6 +35,7 @@ pub use top_cmd::run_top;
 pub use trace_cmd::run_trace;
 
 use std::fmt;
+use std::io::{Read as _, Write as _};
 
 use dbcast_model::{AllocError, Allocation, ChannelAllocator, Database, ModelError};
 use dbcast_workload::WorkloadError;
@@ -241,4 +242,27 @@ pub(crate) fn describe_allocation(
         ));
     }
     out
+}
+
+/// One `GET` over a fresh connection (the exposition server answers a
+/// single request per connection), with client-side timeouts so a
+/// wedged server cannot hang the command.
+pub(crate) fn http_get(addr: &str, path: &str) -> Result<String, CliError> {
+    let mut stream = std::net::TcpStream::connect(addr)
+        .map_err(|e| CliError::Scrape(format!("connect {addr}: {e}")))?;
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(5)))?;
+    stream.set_write_timeout(Some(std::time::Duration::from_secs(5)))?;
+    write!(stream, "GET {path} HTTP/1.1\r\nHost: dbcast\r\nConnection: close\r\n\r\n")?;
+    let mut response = String::new();
+    stream
+        .read_to_string(&mut response)
+        .map_err(|e| CliError::Scrape(format!("read {addr}{path}: {e}")))?;
+    let (head, body) = response
+        .split_once("\r\n\r\n")
+        .ok_or_else(|| CliError::Scrape(format!("malformed response from {addr}")))?;
+    let status_line = head.lines().next().unwrap_or("");
+    if !status_line.contains("200") {
+        return Err(CliError::Scrape(format!("{addr}{path}: {status_line}")));
+    }
+    Ok(body.to_string())
 }

@@ -22,17 +22,18 @@ pub fn run_paper_example(
 
     writeln!(out, "paper worked example: 15 items, 5 channels")?;
     if args.switch("trace") {
-        for (i, it) in outcome.drp.iterations.iter().enumerate() {
-            writeln!(out, "DRP iteration {i} (total cost {:.2}):", it.total_cost())?;
-            for (g, snap) in it.groups.iter().enumerate() {
+        for i in 0..=outcome.drp.splits.len() {
+            let groups = outcome.drp.groups_after(i);
+            let total: f64 = groups.iter().map(|g| g.1).sum();
+            writeln!(out, "DRP iteration {i} (total cost {total:.2}):")?;
+            for (g, (members, cost)) in groups.iter().enumerate() {
                 let members: Vec<String> =
-                    snap.members.iter().map(|m| format!("d{}", m.index() + 1)).collect();
+                    members.iter().map(|m| format!("d{}", m.index() + 1)).collect();
                 writeln!(
                     out,
-                    "  group {}: {{{}}} cost {:.2}",
+                    "  group {}: {{{}}} cost {cost:.2}",
                     g + 1,
-                    members.join(" "),
-                    snap.cost
+                    members.join(" ")
                 )?;
             }
         }

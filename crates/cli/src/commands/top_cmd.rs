@@ -9,12 +9,10 @@
 //! clears and redraws every `--interval-ms` until `--frames` is
 //! reached (or forever).
 
-use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
 use std::time::Duration;
 
 use crate::args::Args;
-use crate::commands::CliError;
+use crate::commands::{http_get, CliError};
 
 /// Runs the console against `--addr HOST:PORT`.
 ///
@@ -48,29 +46,6 @@ pub fn run_top(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliErro
         }
         std::thread::sleep(interval);
     }
-}
-
-/// One `GET` over a fresh connection (the exposition server answers a
-/// single request per connection), with client-side timeouts so a
-/// wedged server cannot hang the console.
-fn http_get(addr: &str, path: &str) -> Result<String, CliError> {
-    let mut stream = TcpStream::connect(addr)
-        .map_err(|e| CliError::Scrape(format!("connect {addr}: {e}")))?;
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(5)))?;
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: dbcast\r\nConnection: close\r\n\r\n")?;
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .map_err(|e| CliError::Scrape(format!("read {addr}{path}: {e}")))?;
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| CliError::Scrape(format!("malformed response from {addr}")))?;
-    let status_line = head.lines().next().unwrap_or("");
-    if !status_line.contains("200") {
-        return Err(CliError::Scrape(format!("{addr}{path}: {status_line}")));
-    }
-    Ok(body.to_string())
 }
 
 #[cfg(test)]

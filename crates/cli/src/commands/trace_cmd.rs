@@ -14,14 +14,10 @@
 //! `--addr HOST:PORT` scrape of `/exemplars`; either way it passes the
 //! strict schema-v1 validator before anything is rendered.
 
-use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
-use std::time::Duration;
-
 use dbcast_audit::{AuditSnapshot, GenerationResiduals, TraceRecord};
 
 use crate::args::Args;
-use crate::commands::CliError;
+use crate::commands::{http_get, CliError};
 
 /// Dispatches the `trace` subcommand by action.
 ///
@@ -66,29 +62,6 @@ fn load_snapshot(args: &Args) -> Result<AuditSnapshot, CliError> {
     };
     dbcast_audit::json::validate(&body)
         .map_err(|e| CliError::Scrape(format!("{origin}: {e}")))
-}
-
-/// One `GET` over a fresh connection (the exposition server answers a
-/// single request per connection), with client-side timeouts so a
-/// wedged server cannot hang the command.
-fn http_get(addr: &str, path: &str) -> Result<String, CliError> {
-    let mut stream = TcpStream::connect(addr)
-        .map_err(|e| CliError::Scrape(format!("connect {addr}: {e}")))?;
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(5)))?;
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: dbcast\r\nConnection: close\r\n\r\n")?;
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .map_err(|e| CliError::Scrape(format!("read {addr}{path}: {e}")))?;
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| CliError::Scrape(format!("malformed response from {addr}")))?;
-    let status_line = head.lines().next().unwrap_or("");
-    if !status_line.contains("200") {
-        return Err(CliError::Scrape(format!("{addr}{path}: {status_line}")));
-    }
-    Ok(body.to_string())
 }
 
 fn write_header(

@@ -10,6 +10,7 @@
 
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::AtomicBool;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -604,6 +605,40 @@ fn resolve_uplink(
     Ok(Some((addr, straggle)))
 }
 
+/// Connects every fleet member to `addr` and runs each on its own
+/// thread.
+fn spawn_clients(
+    addr: SocketAddr,
+    config: &FleetConfig,
+    uplink: Option<&UplinkConfig>,
+) -> Result<Vec<JoinHandle<Result<ClientReport, String>>>, String> {
+    let mut handles = Vec::with_capacity(config.clients);
+    for id in 0..config.clients {
+        let client = config.client(id);
+        let up = resolve_uplink(uplink, id)?;
+        let stream = TcpStream::connect(addr)
+            .map_err(|e| format!("client {id} connect failed: {e}"))?;
+        handles.push(
+            std::thread::Builder::new()
+                .name(format!("dbcast-fleet-{id}"))
+                .spawn(move || run_client_with(client, stream, up))
+                .map_err(|e| format!("spawn failed: {e}"))?,
+        );
+    }
+    Ok(handles)
+}
+
+/// Joins the fleet's threads in id order.
+fn join_clients(
+    handles: Vec<JoinHandle<Result<ClientReport, String>>>,
+) -> Result<Vec<ClientReport>, String> {
+    let mut clients = Vec::with_capacity(handles.len());
+    for handle in handles {
+        clients.push(handle.join().map_err(|_| "client thread panicked")??);
+    }
+    Ok(clients)
+}
+
 fn fold_report(
     config: &FleetConfig,
     indexed: bool,
@@ -655,24 +690,8 @@ pub fn run_fleet_with(
         .map_err(|e| format!("bad address: {e}"))?
         .next()
         .ok_or("address resolved to nothing")?;
-    let mut handles = Vec::with_capacity(config.clients);
-    for id in 0..config.clients {
-        let client = config.client(id);
-        let up = resolve_uplink(uplink, id)?;
-        let stream = TcpStream::connect(addr)
-            .map_err(|e| format!("client {id} connect failed: {e}"))?;
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("dbcast-fleet-{id}"))
-                .spawn(move || run_client_with(client, stream, up))
-                .map_err(|e| format!("spawn failed: {e}"))?,
-        );
-    }
-    let mut clients = Vec::with_capacity(handles.len());
-    for handle in handles {
-        let report = handle.join().map_err(|_| "client thread panicked")??;
-        clients.push(report);
-    }
+    let handles = spawn_clients(addr, config, uplink)?;
+    let clients = join_clients(handles)?;
     // A connecting fleet does not see the server's egress config, so
     // infer index frames from tuning strictly below access.
     let indexed =
@@ -715,19 +734,7 @@ pub fn run_fleet_inline_with(
     let server = BroadcastServer::bind("127.0.0.1:0", net)
         .map_err(|e| format!("bind failed: {e}"))?;
     let addr = server.addr();
-    let mut handles = Vec::with_capacity(config.clients);
-    for id in 0..config.clients {
-        let client = config.client(id);
-        let up = resolve_uplink(uplink, id)?;
-        let stream = TcpStream::connect(addr)
-            .map_err(|e| format!("client {id} connect failed: {e}"))?;
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("dbcast-fleet-{id}"))
-                .spawn(move || run_client_with(client, stream, up))
-                .map_err(|e| format!("spawn failed: {e}"))?,
-        );
-    }
+    let handles = spawn_clients(addr, config, uplink)?;
     // Every subscriber must be registered before the first frame airs,
     // otherwise late joiners would miss the head of the stream.
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -740,11 +747,7 @@ pub fn run_fleet_inline_with(
     }
     let stop = AtomicBool::new(false);
     let egress_report = run_egress(&server, source, egress, &stop)?;
-    let mut clients = Vec::with_capacity(handles.len());
-    for handle in handles {
-        let report = handle.join().map_err(|_| "client thread panicked")??;
-        clients.push(report);
-    }
+    let clients = join_clients(handles)?;
     let dropped = server.dropped_frames();
     server.shutdown();
     let indexed = egress.index.is_some();

@@ -23,27 +23,27 @@ fn table3_full_drp_trace() {
     let outcome = Drp::new().allocate_traced(&db, 5).unwrap();
 
     // Table 3(a): the single initial group, cost 135.60.
-    let it0 = &outcome.iterations[0];
-    assert_eq!(it0.groups.len(), 1);
-    assert!((it0.groups[0].cost - 135.60).abs() < 0.01);
-    let order: Vec<usize> = it0.groups[0].members.iter().map(|m| m.index() + 1).collect();
+    let it0 = outcome.groups_after(0);
+    assert_eq!(it0.len(), 1);
+    assert!((it0[0].1 - 135.60).abs() < 0.01);
+    let order: Vec<usize> = it0[0].0.iter().map(|m| m.index() + 1).collect();
     assert_eq!(order, vec![9, 2, 3, 6, 5, 15, 1, 12, 10, 13, 4, 8, 14, 7, 11]);
 
     // Table 3(b): first split -> 29.04 / 28.62.
-    let it1 = &outcome.iterations[1];
-    let costs: Vec<f64> = it1.groups.iter().map(|g| g.cost).collect();
+    let it1 = outcome.groups_after(1);
+    let costs: Vec<f64> = it1.iter().map(|g| g.1).collect();
     assert!((costs[0] - 29.04).abs() < 0.01);
     assert!((costs[1] - 28.62).abs() < 0.01);
 
     // Table 3(c): second split -> 7.02 / 6.82 / 28.62.
-    let it2 = &outcome.iterations[2];
-    let costs: Vec<f64> = it2.groups.iter().map(|g| g.cost).collect();
+    let it2 = outcome.groups_after(2);
+    let costs: Vec<f64> = it2.iter().map(|g| g.1).collect();
     assert!((costs[0] - 7.02).abs() < 0.01);
     assert!((costs[1] - 6.82).abs() < 0.01);
     assert!((costs[2] - 28.62).abs() < 0.01);
 
     // Table 3(d): final grouping, published member lists and costs.
-    let it4 = &outcome.iterations[4];
+    let it4 = outcome.groups_after(4);
     let expected: [(&[usize], f64); 5] = [
         (&[9, 2, 3], 2.59),
         (&[6, 5, 15], 1.07),
@@ -51,11 +51,11 @@ fn table3_full_drp_trace() {
         (&[10, 13, 4, 8], 7.26),
         (&[14, 7, 11], 6.35),
     ];
-    assert_eq!(it4.groups.len(), 5);
-    for (group, (members, cost)) in it4.groups.iter().zip(expected) {
-        let labels: Vec<usize> = group.members.iter().map(|m| m.index() + 1).collect();
+    assert_eq!(it4.len(), 5);
+    for (group, (members, cost)) in it4.iter().zip(expected) {
+        let labels: Vec<usize> = group.0.iter().map(|m| m.index() + 1).collect();
         assert_eq!(labels, members.to_vec());
-        assert!((group.cost - cost).abs() < 0.01, "{} vs {cost}", group.cost);
+        assert!((group.1 - cost).abs() < 0.01, "{} vs {cost}", group.1);
     }
 }
 
