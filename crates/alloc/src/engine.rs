@@ -28,10 +28,11 @@
 //! **bit-for-bit identical** to the reference scan's — the differential
 //! battery in `dbcast-conformance` pins that equivalence.
 //!
-//! With the `par` feature the init scan and the per-move pass split
-//! across `std::thread::scope` threads in fixed item chunks; chunk
-//! results merge in ascending item order, so the outcome is identical
-//! to the serial pass (there is no rayon in this workspace's vendored
+//! From `PAR_MIN_ITEMS` items up, on a machine with more than one
+//! core, the init scan and the per-move pass split across
+//! `std::thread::scope` threads in fixed item chunks; chunk results
+//! merge in ascending item order, so the outcome is identical to the
+//! serial pass (there is no rayon in this workspace's vendored
 //! dependency set).
 
 /// Sentinel channel id: an empty candidate slot. In the second-best
@@ -39,8 +40,8 @@
 /// or lazy invalidation discarded the runner-up.
 const NONE_CH: u32 = u32::MAX;
 
-/// Item count below which the `par` feature stays serial (thread spawn
-/// would dominate). Tunable via [`BestMoveEngine::set_par_min`].
+/// Item count below which the scans stay serial (thread spawn would
+/// dominate). Tunable via [`BestMoveEngine::set_par_min`].
 const PAR_MIN_ITEMS: usize = 16_384;
 
 /// One move selected (and possibly applied) by the engine, in dense
@@ -58,7 +59,7 @@ pub struct EngineMove {
 }
 
 /// Read-only column view shared by the scan kernels (and across
-/// threads under the `par` feature).
+/// threads by the chunked scans).
 struct Cols<'a> {
     channels: usize,
     f: &'a [f64],
@@ -417,8 +418,8 @@ impl BestMoveEngine {
         self.rescans
     }
 
-    /// Sets the item count below which the `par` feature stays serial.
-    /// No effect without the feature; exposed for tests and tuning.
+    /// Sets the item count below which the scans stay serial; exposed
+    /// for tests and tuning.
     pub fn set_par_min(&mut self, n: usize) {
         self.par_min = n;
     }
@@ -471,7 +472,6 @@ impl BestMoveEngine {
             ..
         } = *self;
         let cols = Cols { channels, f, z, t2fz, assign, freq, size };
-        #[cfg(feature = "par")]
         if assign.len() >= self.par_min {
             let merged =
                 par_chunks(&cols, b1q, b1r, b2q, b2r, |cols, lo, c1q, c1r, c2q, c2r| {
@@ -502,7 +502,6 @@ impl BestMoveEngine {
             ..
         } = *self;
         let cols = Cols { channels, f, z, t2fz, assign, freq, size };
-        #[cfg(feature = "par")]
         if assign.len() >= self.par_min {
             let (gi, _gr, rs) =
                 par_chunks(&cols, b1q, b1r, b2q, b2r, |cols, lo, c1q, c1r, c2q, c2r| {
@@ -523,7 +522,6 @@ impl BestMoveEngine {
 /// on each under `std::thread::scope`, and merges the local bests in
 /// ascending chunk order (strict `>`, so the earliest item still wins
 /// ties — identical to the serial pass).
-#[cfg(feature = "par")]
 fn par_chunks<F>(
     cols: &Cols<'_>,
     b1q: &mut [u32],
@@ -769,7 +767,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "par")]
     #[test]
     fn par_pass_matches_serial_pass() {
         let (f, z) = features(300, 31);

@@ -165,7 +165,6 @@ proptest! {
         );
     }
 
-    #[cfg(feature = "par")]
     #[test]
     fn par_descent_is_bit_identical_to_serial((k, f, z, assign) in columns()) {
         let (freq, size) = aggregates(k, &f, &z, &assign);

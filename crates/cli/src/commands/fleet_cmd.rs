@@ -6,8 +6,8 @@ use dbcast_alloc::DrpCds;
 use dbcast_model::{BroadcastProgram, ChannelAllocator, Database};
 use dbcast_net::{
     run_fleet_inline_with, run_fleet_with, CacheKind, EgressConfig, FleetConfig,
-    FleetReport, IndexParams, NetConfig, ScriptedSource, SourceGeneration, UplinkConfig,
-    WorkloadPattern,
+    FleetReport, IndexParams, NetConfig, OverflowPolicy, ScriptedSource, SourceGeneration,
+    UplinkConfig, WorkloadPattern,
 };
 
 use crate::args::Args;
@@ -250,8 +250,12 @@ fn run_inline(
     };
     let egress = EgressConfig { index, max_windows: Some(max_windows), pace: None };
     let source = ScriptedSource::new(stages);
-    run_fleet_inline_with(&source, &egress, NetConfig::default(), config, uplink)
-        .map_err(CliError::Fleet)
+    // Every client drains its own queue in this process, so block
+    // rather than shed: the unpaced stream outruns the clients, and
+    // shedding loses frames (the End frame among them, which can leave
+    // a client waiting for good).
+    let net = NetConfig { overflow: OverflowPolicy::Block, ..NetConfig::default() };
+    run_fleet_inline_with(&source, &egress, net, config, uplink).map_err(CliError::Fleet)
 }
 
 fn stage(

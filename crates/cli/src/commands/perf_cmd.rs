@@ -40,10 +40,6 @@ pub fn run_perf(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliErr
     let wall_pct = args.opt::<f64>("tolerance")?;
     let alloc_pct = args.opt::<f64>("alloc-tolerance")?;
 
-    // Span trees want recording on; without the obs feature this is a
-    // no-op and the report says so via `obs_enabled: false`.
-    dbcast_obs::set_enabled(true);
-
     let mut suite = standard_suite();
     if let Some(f) = &filter {
         suite.retain(|b| b.name().contains(f.as_str()));
@@ -121,7 +117,7 @@ pub fn run_perf(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliErr
         if let Some(pct) = alloc_pct {
             tol.alloc_pct = pct;
             // An explicit allocation tolerance means the caller knows
-            // counts may shift (different std, different features) —
+            // counts may shift (a different std or platform) —
             // drop the exact-match requirement.
             tol.exact_when_stable = false;
         }

@@ -53,35 +53,10 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
         return Err(CliError::InvalidOption(format!("--decay {decay} not in [0, 1]")));
     }
 
-    // Live exposition, postmortem metric snapshots, the scope sampler
-    // and watchdogs are only meaningful with real telemetry, so (like
-    // --metrics-out) these are hard errors on a feature-off binary
-    // rather than silent no-ops.
     let listen = args.opt::<String>("listen")?;
     let postmortem_dir = args.opt::<String>("postmortem-dir")?;
     let watch = args.opt::<String>("watch")?;
     let listen_uplink = args.opt::<String>("listen-uplink")?;
-    if listen.is_some()
-        || postmortem_dir.is_some()
-        || watch.is_some()
-        || listen_uplink.is_some()
-    {
-        dbcast_obs::set_enabled(true);
-        if !dbcast_obs::enabled() {
-            return Err(CliError::FeatureRequired {
-                option: if listen.is_some() {
-                    "--listen"
-                } else if postmortem_dir.is_some() {
-                    "--postmortem-dir"
-                } else if watch.is_some() {
-                    "--watch"
-                } else {
-                    "--listen-uplink"
-                },
-                feature: "obs",
-            });
-        }
-    }
     let watch_rules = match &watch {
         None => Vec::new(),
         Some(specs) => dbcast_scope::parse_rules(specs)

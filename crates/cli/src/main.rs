@@ -176,10 +176,6 @@ COMMAND-SPECIFIC:
                --tolerance PCT       wall-time tolerance     [default: 20]
                --alloc-tolerance PCT allocation tolerance (also disables
                                      the exact-count requirement)
-
-Telemetry records real data only when the binary is built with
-`--features obs`; --metrics-out, --listen and --postmortem-dir are hard
-errors without it (--trace-out still warns and writes an empty trace).
 ";
 
 fn run() -> Result<(), CliError> {
@@ -200,26 +196,9 @@ fn run() -> Result<(), CliError> {
     }
 
     let metrics_out = args.opt::<String>("metrics-out")?;
-    if metrics_out.is_some() {
-        dbcast_obs::set_enabled(true);
-        if !dbcast_obs::enabled() {
-            return Err(CliError::FeatureRequired {
-                option: "--metrics-out",
-                feature: "obs",
-            });
-        }
-    }
-
     let trace_out = args.opt::<String>("trace-out")?;
     if trace_out.is_some() {
-        dbcast_obs::set_enabled(true);
         dbcast_obs::tree::set_profiling(true);
-        if !dbcast_obs::enabled() {
-            eprintln!(
-                "warning: built without the `obs` feature; \
-                 the --trace-out trace will be empty"
-            );
-        }
     }
 
     match args.command() {

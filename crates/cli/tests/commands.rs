@@ -277,14 +277,49 @@ fn allocate_trace_out_writes_a_chrome_trace() {
     let body = std::fs::read_to_string(&trace).expect("trace file written");
     let parsed: serde_json::Value = serde_json::from_str(&body).expect("valid json");
     let events = parsed.get("traceEvents").and_then(|v| v.as_seq()).expect("traceEvents");
-    // With the obs feature the DRP run span (and its split scans) must
-    // appear as complete events; without it the trace is valid but empty.
-    if cfg!(feature = "obs") {
+    // The DRP run span (and its split scans) must appear as complete
+    // events.
+    assert!(
+        events
+            .iter()
+            .any(|e| e.get("name").and_then(|n| n.as_str()) == Some("alloc.drp.run")),
+        "missing alloc.drp.run in:\n{body}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn fleet_defaults_finish_without_dropping_frames() {
+    // The inline fleet streams unpaced into in-process clients; with its
+    // default arguments it must neither hang nor shed frames. Each run
+    // gets a deadline so a hang fails instead of stalling the suite.
+    let dir = std::env::temp_dir().join(format!("dbcast-cli-fleet-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for run in 0..3 {
+        let out_path = dir.join(format!("fleet-{run}.txt"));
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_dbcast"))
+            .arg("fleet")
+            .stdout(std::fs::File::create(&out_path).unwrap())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("dbcast binary runs");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("poll dbcast fleet") {
+                break status;
+            }
+            if std::time::Instant::now() > deadline {
+                child.kill().ok();
+                child.wait().ok();
+                panic!("run {run}: dbcast fleet still running after 60 s");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        };
+        let stdout = std::fs::read_to_string(&out_path).unwrap();
+        assert!(status.success(), "run {run}: dbcast fleet failed:\n{stdout}");
         assert!(
-            events.iter().any(|e| {
-                e.get("name").and_then(|n| n.as_str()) == Some("alloc.drp.run")
-            }),
-            "missing alloc.drp.run in:\n{body}"
+            stdout.contains("dropped frames: 0"),
+            "run {run} dropped frames:\n{stdout}"
         );
     }
     std::fs::remove_dir_all(&dir).ok();

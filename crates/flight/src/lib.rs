@@ -9,7 +9,8 @@
 //!   `fetch_add` plus atomic stores) and allocation-free, so it is
 //!   *always on*: the serving loop records ticks, served requests,
 //!   drift scores, repair dispatch/outcomes, swap publishes and budget
-//!   exhaustions unconditionally, independent of the `obs` feature.
+//!   exhaustions unconditionally, independent of the obs runtime
+//!   switch.
 //! * [`postmortem`] — triggers (a process panic via the installed
 //!   hook, or an explicit incident such as a drift alarm) dump the
 //!   last events plus a full metrics snapshot to a timestamped JSON

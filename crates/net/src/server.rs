@@ -193,8 +193,9 @@ struct Shared {
     stop: AtomicBool,
     config: NetConfig,
     metrics: NetMetrics,
-    // Local mirrors of the obs counters so behaviour is assertable even
-    // with the obs feature compiled out.
+    // Per-server copies of the obs counters: the registry is
+    // process-global and sums every server in the process, while these
+    // count this instance alone.
     dropped: AtomicU64,
     frames_sent: AtomicU64,
     bytes_sent: AtomicU64,

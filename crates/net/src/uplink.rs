@@ -91,7 +91,9 @@ struct UplinkShared {
     sink: Arc<dyn DigestSink>,
     stop: AtomicBool,
     metrics: UplinkMetrics,
-    // Local mirrors so behaviour is assertable with obs compiled out.
+    // Per-listener copies of the obs counters: the registry is
+    // process-global and sums every listener in the process, while
+    // these count this instance alone.
     frames: AtomicU64,
     bytes: AtomicU64,
     decode_errors: AtomicU64,

@@ -407,6 +407,12 @@ pub const CATALOG: &[MetricDef] = &[
         help: "Telemetry frames decoded off the uplink",
     },
     MetricDef {
+        name: "obs.traces.dropped",
+        kind: MetricKind::Counter,
+        unit: "1",
+        help: "Oldest convergence traces dropped to keep the registry's trace list bounded",
+    },
+    MetricDef {
         name: "scope.sampler.scrape",
         kind: MetricKind::Histogram,
         unit: "ns",

@@ -7,11 +7,9 @@
 //!
 //! # Enabling
 //!
-//! Recording is compiled in only with the `enabled` cargo feature
-//! (consumer crates re-export it as their `obs` feature). Without it,
-//! [`enabled()`] is `const false`, every `record`/`inc` body folds
-//! away, and [`span!`] never reads the clock. With the feature on, a
-//! runtime switch ([`set_enabled`]) can still silence recording.
+//! Recording is always compiled in and on by default. One runtime
+//! switch ([`set_enabled`]) silences it: with it off every
+//! `record`/`inc` body is skipped and [`span!`] never reads the clock.
 //!
 //! # Naming
 //!
@@ -36,7 +34,7 @@ pub mod span;
 pub mod trace;
 pub mod tree;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -45,16 +43,19 @@ use trace::ConvergenceTrace;
 
 static RUNTIME_ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Whether recording is active: requires the `enabled` cargo feature
-/// AND the runtime switch. With the feature off this is a compile-time
-/// `false`, so callers' recording branches disappear entirely.
+/// How many convergence traces the registry keeps. Recording a trace
+/// past this drops the oldest and counts it in `obs.traces.dropped`,
+/// so a long-running process that re-allocates repeatedly holds a
+/// fixed amount of trace memory.
+pub const MAX_TRACES: usize = 8;
+
+/// Whether recording is active: the runtime switch, on by default.
 #[inline(always)]
 pub fn enabled() -> bool {
-    cfg!(feature = "enabled") && RUNTIME_ENABLED.load(Ordering::Relaxed)
+    RUNTIME_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Flips the runtime recording switch (a no-op without the `enabled`
-/// cargo feature, where recording cannot happen regardless).
+/// Flips the runtime recording switch.
 pub fn set_enabled(on: bool) {
     RUNTIME_ENABLED.store(on, Ordering::Relaxed);
 }
@@ -67,7 +68,7 @@ pub struct Registry {
     counters: Mutex<BTreeMap<String, &'static Counter>>,
     gauges: Mutex<BTreeMap<String, &'static Gauge>>,
     histograms: Mutex<BTreeMap<String, &'static Histogram>>,
-    traces: Mutex<Vec<ConvergenceTrace>>,
+    traces: Mutex<VecDeque<ConvergenceTrace>>,
 }
 
 impl Registry {
@@ -76,7 +77,7 @@ impl Registry {
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
-            traces: Mutex::new(Vec::new()),
+            traces: Mutex::new(VecDeque::new()),
         }
     }
 
@@ -111,26 +112,33 @@ impl Registry {
         leaked
     }
 
-    /// Appends a completed convergence trace (honouring [`enabled()`]).
+    /// Appends a completed convergence trace (honouring [`enabled()`]),
+    /// dropping the oldest once [`MAX_TRACES`] are held.
     pub fn record_trace(&self, trace: ConvergenceTrace) {
         if !enabled() {
             return;
         }
-        self.traces.lock().expect("registry poisoned").push(trace);
+        let mut traces = self.traces.lock().expect("registry poisoned");
+        if traces.len() == MAX_TRACES {
+            traces.pop_front();
+            crate::counter!("obs.traces.dropped").inc();
+        }
+        traces.push_back(trace);
     }
 
     /// Takes a point-in-time copy of every metric and trace.
     pub fn snapshot(&self) -> snapshot::Snapshot {
         let mut snap = self.metrics_snapshot();
-        snap.traces = self.traces.lock().expect("registry poisoned").clone();
+        snap.traces =
+            self.traces.lock().expect("registry poisoned").iter().cloned().collect();
         snap
     }
 
     /// Like [`snapshot`](Self::snapshot) but with `traces` left
-    /// empty. Convergence traces grow without bound over a run, so a
-    /// periodic scraper that only reads scalar metrics (the scope
-    /// sampler) would otherwise pay a clone whose cost scales with
-    /// run length on every cadence tick.
+    /// empty. Up to [`MAX_TRACES`] convergence traces are held, each
+    /// as long as its run, so a periodic scraper that only reads scalar
+    /// metrics (the scope sampler) skips cloning them on every cadence
+    /// tick.
     pub fn metrics_snapshot(&self) -> snapshot::Snapshot {
         snapshot::Snapshot {
             counters: self
@@ -282,17 +290,39 @@ mod tests {
     }
 
     #[test]
-    fn enabled_tracks_feature_and_switch() {
+    fn trace_list_keeps_the_newest_and_counts_drops() {
         let _guard = TEST_SWITCH_LOCK.lock().unwrap();
-        if cfg!(feature = "enabled") {
-            set_enabled(true);
-            assert!(enabled());
-            set_enabled(false);
-            assert!(!enabled());
-            set_enabled(true);
-        } else {
-            set_enabled(true);
-            assert!(!enabled());
+        set_enabled(true);
+        let reg = Registry::new();
+        let dropped = counter!("obs.traces.dropped");
+        let before = dropped.get();
+        let overflow = 5;
+        for i in 0..MAX_TRACES + overflow {
+            let mut t = ConvergenceTrace::new("lib.test.cap");
+            t.push(trace::TraceEvent::GoptGeneration { generation: i, best_cost: 0.0 });
+            reg.record_trace(t);
         }
+        let kept: Vec<usize> = reg
+            .snapshot()
+            .traces
+            .iter()
+            .map(|t| match t.events[0] {
+                trace::TraceEvent::GoptGeneration { generation, .. } => generation,
+                ref e => panic!("unexpected event {e:?}"),
+            })
+            .collect();
+        assert_eq!(kept, (overflow..MAX_TRACES + overflow).collect::<Vec<_>>());
+        const { assert!(MAX_TRACES >= 3, "the end-to-end telemetry test reads three traces") };
+        assert_eq!(dropped.get() - before, overflow as u64);
+    }
+
+    #[test]
+    fn enabled_tracks_switch() {
+        let _guard = TEST_SWITCH_LOCK.lock().unwrap();
+        set_enabled(true);
+        assert!(enabled());
+        set_enabled(false);
+        assert!(!enabled());
+        set_enabled(true);
     }
 }

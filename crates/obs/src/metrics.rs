@@ -28,8 +28,9 @@ impl Counter {
         }
     }
 
-    /// Adds `n` unconditionally, bypassing the enable switch. Exists
-    /// so the arithmetic stays testable with the feature off.
+    /// Adds `n` unconditionally, bypassing the runtime switch
+    /// ([`crate::set_enabled`]): it records even when recording is
+    /// switched off.
     #[inline]
     pub fn force_add(&self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
@@ -64,7 +65,8 @@ impl Gauge {
         }
     }
 
-    /// Stores `v` unconditionally.
+    /// Stores `v` unconditionally, bypassing the runtime switch
+    /// ([`crate::set_enabled`]).
     #[inline]
     pub fn force_set(&self, v: f64) {
         self.bits.store(v.to_bits(), Ordering::Relaxed);
@@ -149,9 +151,9 @@ impl Histogram {
         }
     }
 
-    /// Records one observation unconditionally, bypassing the enable
-    /// switch. Exists so the bucket math stays testable with the
-    /// feature off.
+    /// Records one observation unconditionally, bypassing the runtime
+    /// switch ([`crate::set_enabled`]): it records even when recording
+    /// is switched off.
     pub fn force_record(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -314,8 +316,8 @@ impl Histogram {
         }
     }
 
-    /// [`merge_cells`](Self::merge_cells) bypassing the enable switch,
-    /// so the merge arithmetic stays testable with the feature off.
+    /// [`merge_cells`](Self::merge_cells) unconditionally, bypassing
+    /// the runtime switch ([`crate::set_enabled`]).
     pub fn force_merge_cells(&self, cells: &HistogramCells) {
         for (i, &c) in cells.buckets.iter().enumerate() {
             if c > 0 {
@@ -649,8 +651,6 @@ mod tests {
 
     #[test]
     fn disabled_recording_is_a_no_op() {
-        // Under default features `crate::enabled()` is const-false;
-        // with the feature on we flip the runtime switch instead.
         let _guard = crate::TEST_SWITCH_LOCK.lock().unwrap();
         crate::set_enabled(false);
         let c = Counter::new();

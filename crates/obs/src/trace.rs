@@ -159,9 +159,6 @@ mod tests {
         let t = ConvergenceTrace::new("trace.test.switch");
         t.record();
         let snap = crate::registry().snapshot();
-        let present = snap.traces.iter().any(|t| t.name == "trace.test.switch");
-        // With the feature off nothing may be recorded; with it on the
-        // trace must appear (the runtime switch defaults to on).
-        assert_eq!(present, cfg!(feature = "enabled"));
+        assert!(snap.traces.iter().any(|t| t.name == "trace.test.switch"));
     }
 }

@@ -17,7 +17,7 @@
 //! [`SpanRecord::self_ns`] = `dur_ns - child_ns` without a second
 //! pass.
 //!
-//! Profiling is off by default even with the `enabled` feature — span
+//! Profiling is off by default even while recording is on — span
 //! trees allocate (one node per span), which the flat histograms never
 //! do. The collector is bounded ([`set_capacity`]); spans beyond the
 //! cap are counted in [`dropped`] rather than growing without limit.
@@ -93,8 +93,7 @@ struct LocalTree {
 }
 
 /// Turns span-tree collection on or off. Requires recording to be on
-/// too ([`crate::enabled`]); without the `enabled` cargo feature this
-/// has no effect.
+/// too ([`crate::enabled`]).
 pub fn set_profiling(on: bool) {
     PROFILING.store(on, Ordering::Relaxed);
 }
@@ -388,7 +387,6 @@ mod tests {
         assert!(!json.contains("\"ph\": \"X\""));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn guards_build_a_tree_and_flush_on_root_close() {
         let _lock = crate::TEST_SWITCH_LOCK.lock().unwrap();
@@ -423,7 +421,6 @@ mod tests {
         assert!(peak_depth() >= 3);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn capacity_drops_excess_batches() {
         let _lock = crate::TEST_SWITCH_LOCK.lock().unwrap();

@@ -38,7 +38,7 @@ pub enum FindingKind {
     MissingBenchmark,
     /// The current run has a benchmark the baseline lacks.
     NewBenchmark,
-    /// Reports are not comparable (schema version or `obs` feature
+    /// Reports are not comparable (schema version or telemetry switch
     /// mismatch).
     Incomparable,
     /// A change worth noting that does not fail the gate (e.g. a big
@@ -118,9 +118,10 @@ fn pct_change(current: f64, baseline: f64) -> f64 {
 /// match exactly when both runs observed stable counts (and
 /// `exact_when_stable` is set), else must not grow by more than
 /// `alloc_pct`. A benchmark missing from `current` is a regression
-/// (coverage loss); a new benchmark is a note. Schema-version or
-/// `obs`-feature mismatches make the whole pair incomparable, which
-/// fails the gate rather than passing vacuously.
+/// (coverage loss); a new benchmark is a note. A schema-version
+/// mismatch makes the whole pair incomparable, which fails the gate
+/// rather than passing vacuously; a telemetry-switch mismatch is a note
+/// that skips the allocation checks.
 pub fn compare(
     current: &BenchReport,
     baseline: &BenchReport,
@@ -148,7 +149,7 @@ pub fn compare(
             kind: FindingKind::Note,
             regression: false,
             message: format!(
-                "obs feature mismatch (current {}, baseline {}): wall times compare \
+                "telemetry switch mismatch (current {}, baseline {}): wall times compare \
                  loosely, allocation checks skipped",
                 current.obs_enabled, baseline.obs_enabled
             ),

@@ -39,8 +39,8 @@ pub struct BenchRecord {
     /// Whether the counting allocator was installed; false means the
     /// `allocs`/`alloc_bytes` fields carry no information.
     pub allocs_available: bool,
-    /// Deepest span nesting observed during the benchmark (0 when the
-    /// build has no `obs` feature or profiling was off).
+    /// Deepest span nesting observed during the benchmark (0 when
+    /// recording or profiling was off).
     pub peak_span_depth: usize,
 }
 
@@ -51,9 +51,9 @@ pub struct BenchReport {
     pub schema_version: u32,
     /// `git rev-parse --short HEAD` at run time, or `"unknown"`.
     pub git_sha: String,
-    /// Whether telemetry (`obs` feature) was compiled in — wall times
-    /// and allocation counts are only comparable between runs with the
-    /// same setting.
+    /// Whether telemetry recording was on ([`dbcast_obs::enabled`]) —
+    /// wall times and allocation counts are only comparable between
+    /// runs with the same setting.
     pub obs_enabled: bool,
     /// Warmup iterations discarded per benchmark.
     pub warmup: usize,

@@ -17,8 +17,8 @@ pub struct RunOptions {
     /// Discarded warmup iterations per benchmark (absorbs cold caches,
     /// metric-registry interning, allocator warm-up).
     pub warmup: usize,
-    /// Collect span trees during the run (needs the `obs` feature to
-    /// record anything; harmless without it).
+    /// Collect span trees during the run (needs recording switched on
+    /// to record anything; harmless without it).
     pub profile: bool,
 }
 

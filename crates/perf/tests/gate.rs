@@ -108,10 +108,8 @@ fn standard_suite_measures_every_benchmark() {
             assert!(rec.allocs > 0, "{} reported no allocations", rec.name);
         }
     }
-    // With the obs feature the profiled spans give every allocator
-    // benchmark a non-trivial tree depth (e.g. drp run -> split scan).
-    if dbcast_obs::enabled() {
-        let drp = report.benchmark("drp").unwrap();
-        assert!(drp.peak_span_depth >= 1, "no span tree recorded for drp");
-    }
+    // The profiled spans give every allocator benchmark a non-trivial
+    // tree depth (e.g. drp run -> split scan).
+    let drp = report.benchmark("drp").unwrap();
+    assert!(drp.peak_span_depth >= 1, "no span tree recorded for drp");
 }

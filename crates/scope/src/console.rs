@@ -96,7 +96,8 @@ impl Painter {
 
 /// Renders the full `dbcast top` frame. Sections whose metrics are
 /// absent from the document are skipped, so the console degrades
-/// gracefully against feature-off or non-serve processes.
+/// gracefully against processes with recording switched off or that
+/// do not serve.
 pub fn render_top(doc: &SeriesDoc, opts: &TopOptions) -> String {
     let p = Painter { color: opts.color };
     let mut out = String::with_capacity(2048);

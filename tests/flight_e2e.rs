@@ -10,10 +10,6 @@
 //!   lands within tolerance of the Eq. 2 prediction `W_b`,
 //! * `docs/METRICS.md` is exactly the generated catalogue, and every
 //!   metric the runtime records is catalogued.
-//!
-//! The flight ring, postmortem machinery and SLO tracker are always-on;
-//! only the *content* of metric scrapes needs the `obs` feature, so
-//! those assertions are gated on `dbcast_obs::enabled()`.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -73,7 +69,6 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
 fn live_scrape_during_threaded_run_parses_and_counters_are_monotone() {
     let _guard = GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     dbcast_obs::set_enabled(true);
-    let live = dbcast_obs::enabled();
     dbcast_obs::registry().reset();
 
     let db = db();
@@ -121,24 +116,20 @@ fn live_scrape_during_threaded_run_parses_and_counters_are_monotone() {
         let body = http_get(addr, "/metrics");
         let families =
             dbcast_obs::openmetrics::parse(&body).expect("post-run scrape parses");
-        if live {
-            let t = dbcast_obs::openmetrics::sample_value(&families, "serve_ticks_total")
-                .expect("serve_ticks_total exposed");
-            ticks_seen.push(t);
-            let served =
-                dbcast_obs::openmetrics::sample_value(&families, "serve_requests_total")
-                    .expect("serve_requests_total exposed");
-            assert_eq!(served as u64, report.requests);
-        }
+        let t = dbcast_obs::openmetrics::sample_value(&families, "serve_ticks_total")
+            .expect("serve_ticks_total exposed");
+        ticks_seen.push(t);
+        let served =
+            dbcast_obs::openmetrics::sample_value(&families, "serve_requests_total")
+                .expect("serve_requests_total exposed");
+        assert_eq!(served as u64, report.requests);
     }
-    if live {
-        assert!(ticks_seen.len() >= 2);
-        assert!(
-            ticks_seen.windows(2).all(|w| w[1] >= w[0]),
-            "serve_ticks_total went backwards: {ticks_seen:?}"
-        );
-        assert_eq!(*ticks_seen.last().unwrap() as u64, report.ticks);
-    }
+    assert!(ticks_seen.len() >= 2);
+    assert!(
+        ticks_seen.windows(2).all(|w| w[1] >= w[0]),
+        "serve_ticks_total went backwards: {ticks_seen:?}"
+    );
+    assert_eq!(*ticks_seen.last().unwrap() as u64, report.ticks);
 
     // The other two endpoints serve consistent JSON.
     let status = http_get(addr, "/status");
@@ -198,15 +189,15 @@ fn injected_panic_dumps_a_postmortem_with_deep_history() {
     }
     assert_eq!(kinds.last(), Some(&"fault"), "fault must be the final event");
 
-    // The metrics snapshot rode along (contents need the obs feature).
+    // The metrics snapshot rode along.
     assert!(doc.get("metrics").is_some(), "no metrics snapshot in the dump");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn stationary_slo_observed_mean_matches_eq2_prediction() {
-    // This run records into the process-global registry when obs is
-    // enabled, so it must not overlap the live-scrape test's counters.
+    // This run records into the process-global registry, so it must
+    // not overlap the live-scrape test's counters.
     let _guard = GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let db = db();
     // Stationary Poisson arrivals drawn from the db's own frequencies:

@@ -1,9 +1,6 @@
-//! End-to-end telemetry check: with `--features obs`, running the
-//! paper's algorithms populates the global registry with DRP split
-//! timers, CDS iteration counters and convergence traces, and GOPT
-//! generation counts (the ISSUE acceptance criterion).
-
-#![cfg(feature = "obs")]
+//! End-to-end telemetry check: running the paper's algorithms
+//! populates the global registry with DRP split timers, CDS iteration
+//! counters and convergence traces, and GOPT generation counts.
 
 use dbcast_alloc::DrpCds;
 use dbcast_baselines::{Gopt, GoptConfig};

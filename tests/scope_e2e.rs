@@ -11,9 +11,6 @@
 //!   writers (the `tests/obs_concurrency.rs` posture, applied to the
 //!   scrape path).
 //!
-//! The series store, validator and watchdog are always-on; only the
-//! *content* of registry scrapes needs the `obs` feature, so those
-//! assertions are gated on `dbcast_obs::enabled()`.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -78,7 +75,6 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
 fn live_series_scrape_mid_run_validates_and_top_renders() {
     let _guard = GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     dbcast_obs::set_enabled(true);
-    let live = dbcast_obs::enabled();
     dbcast_obs::registry().reset();
 
     let db = db();
@@ -127,24 +123,22 @@ fn live_series_scrape_mid_run_validates_and_top_renders() {
     assert!(firings.is_empty(), "no watchdog rules were armed: {firings:?}");
 
     let doc = validate(&render_store(&store)).expect("final export validates");
-    if live {
-        assert!(doc.tick > 0, "sampler never saw a tick");
-        let req = doc.series("serve.requests").expect("request counter series");
-        assert!(req.last().unwrap_or(0.0) > 0.0, "no requests recorded");
-        assert_eq!(
-            doc.series_with_prefix("serve.channel.expected_wait.").count(),
-            5,
-            "one Eq. 2 gauge per channel"
-        );
-        let frame = render_top(&doc, &TopOptions::default());
-        for needle in ["req/s", "drift L1", "SLO burn", "channels (Eq. 2", "ch0"] {
-            assert!(frame.contains(needle), "missing {needle}:\n{frame}");
-        }
-        assert!(
-            frame.chars().any(|c| ('\u{2581}'..='\u{2588}').contains(&c)),
-            "no sparkline glyphs in frame:\n{frame}"
-        );
+    assert!(doc.tick > 0, "sampler never saw a tick");
+    let req = doc.series("serve.requests").expect("request counter series");
+    assert!(req.last().unwrap_or(0.0) > 0.0, "no requests recorded");
+    assert_eq!(
+        doc.series_with_prefix("serve.channel.expected_wait.").count(),
+        5,
+        "one Eq. 2 gauge per channel"
+    );
+    let frame = render_top(&doc, &TopOptions::default());
+    for needle in ["req/s", "drift L1", "SLO burn", "channels (Eq. 2", "ch0"] {
+        assert!(frame.contains(needle), "missing {needle}:\n{frame}");
     }
+    assert!(
+        frame.chars().any(|c| ('\u{2581}'..='\u{2588}').contains(&c)),
+        "no sparkline glyphs in frame:\n{frame}"
+    );
 }
 
 #[test]
@@ -195,9 +189,8 @@ fn watchdog_drill_fires_flight_event_and_postmortem() {
 
 #[test]
 fn sampler_stays_consistent_under_concurrent_writers() {
-    // force_* writers bypass the runtime switch, so this exercises the
-    // scrape path in feature-off builds too. No registry reset: this
-    // test only asserts on its own `.test.` metrics.
+    // force_* writers bypass the runtime switch. No registry reset:
+    // this test only asserts on its own `.test.` metrics.
     let _guard = GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let stop = Arc::new(AtomicBool::new(false));
     let writers: Vec<_> = (0..4)
